@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from . import khovanov as kh
@@ -44,6 +43,8 @@ def load_diagram(path: str | Path) -> Diagram:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise KmcError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise KmcError(f"cannot read {path}: not UTF-8 text") from exc
     suffix = path.suffix.lower()
     if suffix == ".pd":
         return parse_pd(text)
@@ -62,10 +63,6 @@ def load_diagram(path: str | Path) -> Diagram:
 
 def _print_json(data: dict) -> None:
     print(json.dumps(data, indent=2, sort_keys=True))
-
-
-def _fraction_repr(x: Fraction) -> str:
-    return str(int(x)) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _cmd_bracket(cfg: RunConfig) -> int:
@@ -154,7 +151,7 @@ def _cmd_kh(cfg: RunConfig) -> int:
     else:
         print(f"field: {field}")
         print(_render_table(table))
-        print(f"thickness: {_fraction_repr(thick)}")
+        print(f"thickness: {thick}")
         print(f"q-span: {kh.q_span(table)}")
     return 0
 

@@ -17,7 +17,8 @@ rationals the usual edge sign (-1)^(number of set lower bits) applies
 and the atom must be orientable.
 
 Homology is computed per (t, q) block by exact rank computations, GF(2)
-rows as bitsets and rational blocks with Fraction arithmetic.
+rows as bitsets and rational blocks by integer elimination (unit pivots
+first, then a fraction-free fallback; see ``linalg``).
 """
 
 from __future__ import annotations
@@ -135,6 +136,8 @@ class KhTable:
     def from_json_dict(cls, data: dict, field_hint: str | None = None) -> "KhTable":
         if "entries" not in data:
             raise TableError("no 'entries' key in table data")
+        if not isinstance(data["entries"], list):
+            raise TableError("table 'entries' is not a list")
         entries: dict[tuple[int, int], int] = {}
         for item in data["entries"]:
             try:
@@ -168,9 +171,18 @@ def _single_field_block(data: dict, field_hint: str | None) -> dict:
 
 def load_table(path: str | Path, field_hint: str | None = None) -> KhTable:
     """Load a KhTable from a JSON fixture or from certificate output."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    block = _single_field_block(data, field_hint)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise TableError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise TableError(f"cannot read {path}: not UTF-8 text") from exc
+    except json.JSONDecodeError as exc:
+        raise TableError(f"{path} is not valid JSON: {exc}") from exc
+    block = _single_field_block(data, field_hint) if isinstance(data, dict) else None
+    if not isinstance(block, dict):
+        raise TableError("no homology table found in JSON data")
     return KhTable.from_json_dict(block, field_hint or block.get("field"))
 
 

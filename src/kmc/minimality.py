@@ -107,10 +107,6 @@ class Certificate:
         }
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(int(x)) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def certify(
     d: Diagram,
     fields: list[str] | None = None,
@@ -161,14 +157,14 @@ def certify(
             two_complete=two,
         )
         reasoning.append(
-            f"kh[{name}]: thickness = {_fraction_str(thick)}, q-span = {span}"
+            f"kh[{name}]: thickness = {thick}, q-span = {span}"
             f" (q in [{table.q_min()}, {table.q_max()}]), bound 2n + chi ="
             f" {2 * d.n + chi} -> broad 1-completeness"
             f" {'holds' if broad else 'fails'}"
         )
         reasoning.append(
-            f"kh[{name}]: thickness {_fraction_str(thick)} vs genus + 2 ="
-            f" {_fraction_str(g.value + 2)} -> 2-completeness"
+            f"kh[{name}]: thickness {thick} vs genus + 2 ="
+            f" {g.value + 2} -> 2-completeness"
             f" {'holds' if two else 'fails'}"
         )
 
@@ -216,14 +212,14 @@ def certify_from_table(
     chi_eff = 2 - twice_genus_min
     reasoning = [
         f"n = {n} classical crossings (given)",
-        f"table[{tab.field}]: thickness = {_fraction_str(thick)}",
+        f"table[{tab.field}]: thickness = {thick}",
         f"thickness bounds the genus below: 2g >= 2T - 4 = {twice_genus_min}",
     ]
     if chi_hint is not None:
         if chi_hint > chi_eff:
             raise TableError(
                 f"chi hint {chi_hint} exceeds {chi_eff}, the largest Euler"
-                f" characteristic compatible with {_fraction_str(thick)} diagonals"
+                f" characteristic compatible with {thick} diagonals"
             )
         chi_used = chi_hint
         reasoning.append(f"using provided chi = {chi_hint}")
@@ -247,8 +243,8 @@ def certify_from_table(
         f" {'holds' if broad else 'fails'}"
     )
     reasoning.append(
-        f"thickness {_fraction_str(thick)} vs genus + 2 ="
-        f" {_fraction_str(Fraction(twice_genus_used, 2) + 2)} -> 2-completeness"
+        f"thickness {thick} vs genus + 2 ="
+        f" {Fraction(twice_genus_used, 2) + 2} -> 2-completeness"
         f" {'holds' if two else 'fails'}"
     )
 

@@ -69,6 +69,12 @@ def test_kh_table_layout(capsys):
     assert qs == sorted(qs, reverse=True)
 
 
+def test_kh_text_half_integer_thickness(capsys):
+    code, out, _ = run(capsys, "kh", str(FIXTURES / "virtual_trefoil.gauss"))
+    assert code == 0
+    assert "thickness: 5/2" in out
+
+
 def test_kh_json(capsys):
     data = run_json(capsys, "kh", str(FIXTURES / "trefoil.pd"), "--field", "q")
     assert data["field"] == "q"
@@ -213,3 +219,61 @@ def test_batch_field_error_counts_as_error(capsys, tmp_path):
     code, out, _ = run(capsys, "batch", str(tmp_path), "--fields", "q")
     assert code == 1
     assert "error" in out
+
+
+def assert_one_line_error(code, err):
+    assert code == 1
+    assert err.startswith("kmc: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_non_utf8_diagram_is_input_error(capsys, tmp_path):
+    p = tmp_path / "latin1.pd"
+    p.write_bytes(b"\xff\xfe X 1 2 1 2\n")
+    code, out, err = run(capsys, "bracket", str(p))
+    assert_one_line_error(code, err)
+    assert "not UTF-8" in err
+
+
+def test_certify_table_missing_file(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "certify-table", str(tmp_path / "missing.json"), "--n", "3"
+    )
+    assert_one_line_error(code, err)
+    assert "missing.json" in err
+
+
+def test_certify_table_non_utf8_file(capsys, tmp_path):
+    p = tmp_path / "table.json"
+    p.write_bytes(b'\xff{"entries": []}')
+    code, out, err = run(capsys, "certify-table", str(p), "--n", "3")
+    assert_one_line_error(code, err)
+    assert "not UTF-8" in err
+
+
+def test_certify_table_invalid_json(capsys, tmp_path):
+    p = tmp_path / "table.json"
+    p.write_text('{"entries": [\n')
+    code, out, err = run(capsys, "certify-table", str(p), "--n", "3")
+    assert_one_line_error(code, err)
+    assert "not valid JSON" in err
+
+
+def test_certify_table_json_of_the_wrong_shape(capsys, tmp_path):
+    p = tmp_path / "table.json"
+    for text in ("[1, 2]", '{"entries": 5}', '{"fields": {"q": 5}}'):
+        p.write_text(text)
+        code, out, err = run(capsys, "certify-table", str(p), "--n", "3")
+        assert_one_line_error(code, err)
+
+
+def test_batch_continues_after_non_utf8_file(capsys, tmp_path):
+    (tmp_path / "a_bad.pd").write_bytes(b"\xff\xfe X 1 2 1 2\n")
+    (tmp_path / "b_good.pd").write_text((FIXTURES / "trefoil.pd").read_text())
+    code, out, err = run(capsys, "batch", str(tmp_path))
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert "a_bad.pd: error: cannot read" in lines[0]
+    assert lines[1].endswith("b_good.pd: MINIMAL")
+    assert "total: 2 files, 1 MINIMAL, 0 INCONCLUSIVE, 1 errors" in lines[-1]

@@ -1,0 +1,93 @@
+import copy
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from kmc.linalg import sparse_integer_rank
+
+MAX_COLS = 8
+
+# Mostly +-1, as in the Khovanov differentials, with a few non-units so
+# that the fraction-free fallback runs, and zeros that must be ignored.
+ENTRIES = st.sampled_from([1, -1, 1, -1, 1, -1, 2, -3, 6, 0])
+ROWS = st.lists(
+    st.dictionaries(st.integers(0, MAX_COLS - 1), ENTRIES, max_size=MAX_COLS),
+    max_size=12,
+)
+
+
+def reference_rank(rows: list[dict[int, int]]) -> int:
+    """Dense Gauss-Jordan elimination over Fraction."""
+    cols = sorted({k for row in rows for k in row})
+    m = [[Fraction(row.get(c, 0)) for c in cols] for row in rows]
+    rank = 0
+    for c in range(len(cols)):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c] / m[rank][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def rows_with_dependencies(draw):
+    """Random rows plus duplicates and integer combinations of them."""
+    rows = draw(ROWS)
+    if rows:
+        for _ in range(draw(st.integers(0, 4))):
+            a = draw(st.sampled_from(rows))
+            b = draw(st.sampled_from(rows))
+            x = draw(st.sampled_from([-2, -1, 1, 3]))
+            y = draw(st.sampled_from([-1, 0, 1, 2]))
+            rows.append({k: x * a.get(k, 0) + y * b.get(k, 0) for k in a.keys() | b.keys()})
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return draw(st.permutations(rows))
+
+
+def check(rows):
+    before = copy.deepcopy(rows)
+    assert sparse_integer_rank(rows) == reference_rank(rows)
+    assert rows == before
+
+
+@settings(deadline=None)
+@given(ROWS)
+def test_rank_matches_fraction_reference(rows):
+    check(rows)
+
+
+@settings(deadline=None)
+@given(rows_with_dependencies())
+def test_rank_with_duplicate_and_dependent_rows(rows):
+    check(rows)
+
+
+def test_no_unit_entry_uses_fallback_only():
+    rows = [{0: 2, 1: 4}, {0: 3, 1: 6}, {1: 6, 2: -10}, {0: 6, 2: 15}]
+    assert sparse_integer_rank(rows) == reference_rank(rows) == 3
+    assert sparse_integer_rank([{0: 2, 1: 4}, {0: -3, 1: -6}]) == 1
+
+
+def test_unit_elimination_leaving_non_unit_entries():
+    # eliminating column 0 leaves {1: -2}, which only the fallback can use
+    assert sparse_integer_rank([{0: 1, 1: 1}, {0: 1, 1: -1}]) == 2
+
+
+def test_empty_input():
+    assert sparse_integer_rank([]) == 0
+    assert sparse_integer_rank([{}, {}]) == 0
+    assert sparse_integer_rank([{0: 0, 3: 0}]) == 0
+
+
+def test_caller_rows_unmodified():
+    rows = [{0: 1, 1: -1, 2: 0}, {0: 1, 2: 1}, {1: 1, 2: 1}, {}, {0: 2, 1: 2}]
+    before = copy.deepcopy(rows)
+    ids = [id(r) for r in rows]
+    assert sparse_integer_rank(rows) == reference_rank(before) == 3
+    assert rows == before
+    assert [id(r) for r in rows] == ids

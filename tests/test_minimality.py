@@ -21,6 +21,8 @@ def test_trefoil_minimal():
     assert cert.two_complete
     assert cert.twice_genus == 0
     assert cert.thickness == 2
+    assert cert.reasoning[3].startswith("kh[q]: thickness = 2, q-span = 8 ")
+    assert cert.reasoning[4] == "kh[q]: thickness 2 vs genus + 2 = 2 -> 2-completeness holds"
 
 
 def test_kinked_trefoil_inconclusive():
@@ -44,6 +46,10 @@ def test_virtual_trefoil_minimal_over_gf2():
     assert cert.twice_genus == 1
     assert cert.thickness == Fraction(5, 2)
     assert list(cert.fields) == [GF2]
+    assert cert.reasoning[3].startswith("kh[gf2]: thickness = 5/2, q-span = 5 ")
+    assert cert.reasoning[4] == (
+        "kh[gf2]: thickness 5/2 vs genus + 2 = 5/2 -> 2-completeness holds"
+    )
 
 
 def test_hopf_minimal():
@@ -76,6 +82,8 @@ def test_table_certification_13n3663():
     assert cert.verdict == MINIMAL
     assert cert.thickness == 4
     assert cert.twice_genus == 4  # genus lower bound 2
+    assert cert.reasoning[1] == "table[q]: thickness = 4"
+    assert cert.reasoning[5] == "thickness 4 vs genus + 2 = 4 -> 2-completeness holds"
     assert cert.genus_is_lower_bound
     assert cert.chi == -2
     assert cert.fields["q"].q_span == 24
