@@ -21,6 +21,7 @@ from .diagram import (
 )
 from .errors import (
     DiagramError,
+    InvariantError,
     KmcError,
     LimitError,
     ParseError,

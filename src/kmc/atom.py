@@ -22,10 +22,11 @@ quantity the bracket span bound wants).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import Diagram
+from .diagram import Diagram, crossing_components
 
 __all__ = [
     "Atom",
@@ -119,46 +120,20 @@ def _trace_walks(d: Diagram, b_side: bool) -> list[Walk]:
     return walks
 
 
-def _crossing_components(d: Diagram) -> tuple[list[int], int]:
-    """component id per crossing, and the number of crossing components."""
-    parent = list(range(d.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p, q in d.arcs:
-        a, b = find(p // 4), find(q // 4)
-        if a != b:
-            parent[a] = b
-    roots = sorted({find(c) for c in range(d.n)})
-    index = {r: i for i, r in enumerate(roots)}
-    return [index[find(c)] for c in range(d.n)], len(roots)
-
-
 def build_atom(d: Diagram) -> Atom:
     """Trace all cells and classify each diagram component's surface."""
     white = _trace_walks(d, b_side=False)
     black = _trace_walks(d, b_side=True)
 
-    comp_of_crossing, n_comps = _crossing_components(d)
+    comp_of_crossing, n_comps = crossing_components(d)
 
-    def comp_of_walk(walk: Walk) -> int:
-        arc_idx = walk[0][0]
-        return comp_of_crossing[d.arcs[arc_idx][0] // 4]
-
-    # cells 0..a'-1 white, a'..a'+b'-1 black (port-backed cells only)
+    # cells 0..a'-1 white, a'..a'+b'-1 black (port-backed cells only);
+    # cell_of_arc[0] and [1]: the white and the black cell along each arc
     cells = len(white) + len(black)
-    white_of_arc: dict[int, tuple[int, bool]] = {}
-    black_of_arc: dict[int, tuple[int, bool]] = {}
-    for ci, walk in enumerate(white):
+    cell_of_arc: tuple[dict[int, tuple[int, bool]], ...] = ({}, {})
+    for ci, walk in enumerate(white + black):
         for ai, direction in walk:
-            white_of_arc[ai] = (ci, direction)
-    for ci, walk in enumerate(black):
-        for ai, direction in walk:
-            black_of_arc[ai] = (len(white) + ci, direction)
+            cell_of_arc[ci >= len(white)][ai] = (ci, direction)
 
     # orientability: parity union-find over cells; flipping one cell of
     # a glued pair is forced whenever both walks run the arc the same way
@@ -179,8 +154,8 @@ def build_atom(d: Diagram) -> Atom:
 
     comp_orientable = [True] * (n_comps + d.free_loops)
     for ai in range(len(d.arcs)):
-        wc, wd = white_of_arc[ai]
-        bc, bd = black_of_arc[ai]
+        wc, wd = cell_of_arc[0][ai]
+        bc, bd = cell_of_arc[1][ai]
         want = 1 if wd == bd else 0
         rw, pw = find(wc)
         rb, pb = find(bc)
@@ -191,13 +166,10 @@ def build_atom(d: Diagram) -> Atom:
             parent[rw] = rb
             parity[rw] = pw ^ pb ^ want
 
-    comp_chi = []
-    for k in range(n_comps):
-        a_k = sum(1 for w in white if comp_of_walk(w) == k)
-        b_k = sum(1 for w in black if comp_of_walk(w) == k)
-        n_k = sum(1 for c in range(d.n) if comp_of_crossing[c] == k)
-        comp_chi.append(a_k + b_k - n_k)
-    comp_chi.extend([2] * d.free_loops)
+    # chi of a component: its white and black cells minus its crossings
+    chi = Counter(comp_of_crossing[d.arcs[w[0][0]][0] // 4] for w in white + black)
+    chi.subtract(comp_of_crossing)
+    comp_chi = [chi[k] for k in range(n_comps)] + [2] * d.free_loops
 
     empty: tuple[Walk, ...] = tuple(() for _ in range(d.free_loops))
     return Atom(

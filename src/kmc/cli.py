@@ -20,7 +20,7 @@ from .diagram import Diagram, parse_gauss, parse_pd
 from .errors import KmcError, ParseError
 from .minimality import MINIMAL, certify, certify_from_table
 from .single_circle import single_circle_census
-from .statesum import is_1_complete, kauffman_bracket
+from .statesum import is_1_complete
 
 __all__ = ["main", "RunConfig"]
 
@@ -67,8 +67,8 @@ def _print_json(data: dict) -> None:
 
 def _cmd_bracket(cfg: RunConfig) -> int:
     d = load_diagram(cfg.paths[0])
-    poly = kauffman_bracket(d)
     strict, details = is_1_complete(d)
+    poly = details["bracket"]
     if cfg.as_json:
         _print_json(
             {
@@ -145,7 +145,7 @@ def _cmd_kh(cfg: RunConfig) -> int:
     thick = kh.thickness(table)
     if cfg.as_json:
         data = table.to_json_dict()
-        data["thickness"] = int(thick) if thick.denominator == 1 else float(thick)
+        data["thickness"] = kh.json_number(thick)
         data["q_span"] = kh.q_span(table)
         _print_json(data)
     else:
@@ -332,21 +332,16 @@ def main(argv: list[str] | None = None) -> int:
             max_crossings=args.max_crossings,
             as_json=args.json,
         )
-        if args.command == "bracket":
-            return _cmd_bracket(cfg)
-        if args.command == "atom":
-            return _cmd_atom(cfg)
-        if args.command == "kh":
-            return _cmd_kh(cfg)
-        if args.command == "k1":
-            return _cmd_k1(cfg)
-        if args.command == "certify":
-            return _cmd_certify(cfg)
         if args.command == "certify-table":
             return _cmd_certify_table(cfg, args.n, args.chi)
-        if args.command == "batch":
-            return _cmd_batch(cfg)
-        raise KmcError(f"unknown command {args.command!r}")
+        return {
+            "bracket": _cmd_bracket,
+            "atom": _cmd_atom,
+            "kh": _cmd_kh,
+            "k1": _cmd_k1,
+            "certify": _cmd_certify,
+            "batch": _cmd_batch,
+        }[args.command](cfg)
     except ParseError as exc:
         print(f"kmc: parse error: {exc}", file=sys.stderr)
         return 1

@@ -52,6 +52,7 @@ __all__ = [
     "r1_add",
     "r2_add",
     "components",
+    "crossing_components",
     "split_components",
     "is_connected",
 ]
@@ -331,12 +332,9 @@ def r2_add(
     return Diagram(d.n + 2, tuple(arcs) + tuple(new), loops)
 
 
-def split_components(d: Diagram) -> list[Diagram]:
-    """Connected components of the underlying 4-valent graph.
-
-    Each free loop is its own component.  Crossings are relabelled
-    consecutively inside each returned diagram.
-    """
+def crossing_components(d: Diagram) -> tuple[list[int], int]:
+    """Component id of every crossing in the underlying 4-valent graph,
+    numbered in order of least crossing, and the number of components."""
     parent = list(range(d.n))
 
     def find(x: int) -> int:
@@ -346,21 +344,28 @@ def split_components(d: Diagram) -> list[Diagram]:
         return x
 
     for p, q in d.arcs:
-        a, b = find(p // 4), find(q // 4)
-        if a != b:
-            parent[a] = b
-    groups: dict[int, list[int]] = {}
-    for c in range(d.n):
-        groups.setdefault(find(c), []).append(c)
+        parent[find(p // 4)] = find(q // 4)
+    index: dict[int, int] = {}
+    comp = [index.setdefault(find(c), len(index)) for c in range(d.n)]
+    return comp, len(index)
+
+
+def split_components(d: Diagram) -> list[Diagram]:
+    """Connected components of the underlying 4-valent graph.
+
+    Each free loop is its own component.  Crossings are relabelled
+    consecutively inside each returned diagram.
+    """
+    comp, count = crossing_components(d)
     out = []
-    for crossings in groups.values():
-        new_index = {c: i for i, c in enumerate(sorted(crossings))}
-        arcs = []
-        for p, q in d.arcs:
-            if find(p // 4) == find(crossings[0]):
-                arcs.append(
-                    (4 * new_index[p // 4] + p % 4, 4 * new_index[q // 4] + q % 4)
-                )
+    for k in range(count):
+        crossings = [c for c in range(d.n) if comp[c] == k]
+        new_index = {c: i for i, c in enumerate(crossings)}
+        arcs = [
+            (4 * new_index[p // 4] + p % 4, 4 * new_index[q // 4] + q % 4)
+            for p, q in d.arcs
+            if comp[p // 4] == k
+        ]
         out.append(Diagram(len(crossings), tuple(arcs), 0))
     out.extend(Diagram(0, (), 1) for _ in range(d.free_loops))
     return out
@@ -479,7 +484,6 @@ def parse_gauss(text: str) -> Diagram:
     passes: dict[str, dict[str, tuple[int, str]]] = {}
     comps: list[list[tuple[str, str]]] = []
     loops = 0
-    order = 0
     index_of: dict[str, int] = {}
     for seg in segments:
         tokens = seg.split()
@@ -497,10 +501,7 @@ def parse_gauss(text: str) -> Diagram:
             info = passes.setdefault(lab, {})
             if kind in info:
                 raise ParseError(f"label {lab} opened twice as {kind}")
-            if lab not in index_of:
-                index_of[lab] = order
-                order += 1
-            info[kind] = (index_of[lab], sign)
+            info[kind] = (index_of.setdefault(lab, len(index_of)), sign)
             comp.append((kind, lab))
         comps.append(comp)
 

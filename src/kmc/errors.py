@@ -33,3 +33,8 @@ class UnsupportedFieldError(KmcError):
 class TableError(KmcError):
     """A homology table is empty, malformed, or inconsistent with its
     claimed crossing count."""
+
+
+class InvariantError(KmcError):
+    """A computed result breaks one of the paper's theorems, so no
+    verdict may rest on it."""

@@ -46,13 +46,8 @@ def random_gauss_code(n: int, rng: random.Random, components: int = 1) -> str:
     rng.shuffle(tokens)
     if components <= 1:
         return " ".join(tokens)
-    cuts = sorted(rng.sample(range(1, 2 * n), components - 1))
-    parts = []
-    prev = 0
-    for cut in cuts + [2 * n]:
-        parts.append(" ".join(tokens[prev:cut]))
-        prev = cut
-    return " ; ".join(parts)
+    cuts = [0] + sorted(rng.sample(range(1, 2 * n), components - 1)) + [2 * n]
+    return " ; ".join(" ".join(tokens[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
 def random_virtual_diagram(

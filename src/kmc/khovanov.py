@@ -16,6 +16,14 @@ is the zero map, which is only consistent over GF(2).  Over the
 rationals the usual edge sign (-1)^(number of set lower bits) applies
 and the atom must be orientable.
 
+The complex is built from one labelled pass over the cube (see
+``statesum.label_states``).  Every column entry is +-1 and every entry
+of a column has its own target, so the GF(2) complex is the rational one
+reduced mod 2: the skeleton is built once, over GF(2), and the rational
+complex only gives each entry its edge sign.  A basis element's position
+in its block is found by arithmetic on its state and mask, and each edge
+maps all masks of its source state through one table.
+
 Homology is computed per (t, q) block by exact rank computations, GF(2)
 rows as bitsets and rational blocks by integer elimination (unit pivots
 first, then a fraction-free fallback; see ``linalg``).
@@ -25,7 +33,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,14 +43,16 @@ from .diagram import Diagram, Orientation, crossing_signs, orient
 from .errors import LimitError, TableError, UnsupportedFieldError
 from .laurent import Laurent
 from .linalg import gf2_rank, sparse_integer_rank
-from .statesum import state_circles
+from .statesum import label_states
 
 __all__ = [
     "GF2",
     "Q",
     "KhComplex",
     "KhTable",
+    "check_field",
     "build_complex",
+    "rational_complex",
     "homology",
     "kh_table",
     "thickness",
@@ -89,6 +100,10 @@ class KhComplex:
     bases: dict[tuple[int, int], list[tuple[int, int]]]
     # (t, q) -> one column per basis element, mapping into (t+1, q)
     blocks: dict[tuple[int, int], list[Column]]
+    # (B-smoothings, circles) -> number of states, the bracket's state sum
+    state_counts: dict[tuple[int, int], int]
+    # cube edges that re-glue one circle to itself (zero maps, GF(2) only)
+    zero_edges: int
 
     def total_dimension(self) -> int:
         return sum(len(b) for b in self.bases.values())
@@ -100,9 +115,6 @@ class KhTable:
 
     field: str
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def q_values(self) -> list[int]:
-        return sorted({q for _, q in self.entries})
 
     def q_min(self) -> int:
         self._require_nonempty()
@@ -150,7 +162,10 @@ class KhTable:
             if key in entries:
                 raise TableError(f"duplicate table entry at (t={t}, q={q})")
             entries[key] = dim
-        return cls(field_hint or data.get("field", Q), entries)
+        name = field_hint or data.get("field", Q)
+        if name not in (GF2, Q):
+            raise TableError(f"unknown table field {name!r} (expected gf2 or q)")
+        return cls(name, entries)
 
 
 def _single_field_block(data: dict, field_hint: str | None) -> dict:
@@ -186,9 +201,30 @@ def load_table(path: str | Path, field_hint: str | None = None) -> KhTable:
     return KhTable.from_json_dict(block, field_hint or block.get("field"))
 
 
-def _canonical_circles(d: Diagram, state: int) -> tuple[tuple[int, ...], ...]:
-    """Port circles in canonical order; free loops follow implicitly."""
-    return state_circles(d, state)
+def check_field(
+    d: Diagram,
+    field: str,
+    *,
+    max_crossings: int | None = None,
+    atom: atom_mod.Atom | None = None,
+) -> None:
+    """Raise unless the complex of d over field may be built: the field
+    is known, d is within its crossing limit, and the atom is orientable
+    when the field is Q.  Nothing here is exponential in n."""
+    if field not in (GF2, Q):
+        raise UnsupportedFieldError(f"unknown field {field!r}")
+    limit = resolve_limit(
+        max_crossings, DEFAULT_MAX_Q if field == Q else DEFAULT_MAX_GF2
+    )
+    if d.n > limit:
+        raise LimitError(
+            f"diagram has {d.n} crossings; limit for field {field} is {limit}"
+        )
+    if field == Q and not atom_mod.orientable(atom or atom_mod.build_atom(d)):
+        raise UnsupportedFieldError(
+            "rational coefficients need an orientable atom; this diagram's"
+            " atom is non-orientable (use gf2)"
+        )
 
 
 def build_complex(
@@ -205,192 +241,167 @@ def build_complex(
     (the default) d.d = 0 is verified and an AssertionError raised on
     failure.
     """
-    if field not in (GF2, Q):
-        raise UnsupportedFieldError(f"unknown field {field!r}")
-    limit = resolve_limit(
-        max_crossings, DEFAULT_MAX_Q if field == Q else DEFAULT_MAX_GF2
-    )
-    if d.n > limit:
-        raise LimitError(
-            f"diagram has {d.n} crossings; limit for field {field} is {limit}"
-        )
-    if field == Q and not atom_mod.orientable(atom_mod.build_atom(d)):
-        raise UnsupportedFieldError(
-            "rational coefficients need an orientable atom; this diagram's"
-            " atom is non-orientable (use gf2)"
-        )
+    check_field(d, field, max_crossings=max_crossings)
     if o is None:
         o = orient(d)
-    n_plus, n_minus = crossing_signs(d, o)
-
-    n = d.n
-    states = 1 << n
-    circles: list[tuple[tuple[int, ...], ...]] = [
-        _canonical_circles(d, s) for s in range(states)
-    ]
-    k_of: list[int] = [len(c) + d.free_loops for c in circles]
-
-    bases: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    pos: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-    for s in range(states):
-        r = s.bit_count()
-        t = r - n_minus
-        k = k_of[s]
-        base_q = r + n_plus - 2 * n_minus - k
-        for mask in range(1 << k):
-            q = base_q + 2 * mask.bit_count()
-            key = (t, q)
-            block = bases.setdefault(key, [])
-            pos.setdefault(key, {})[(s, mask)] = len(block)
-            block.append((s, mask))
-
-    # per-edge circle bookkeeping: which circles merge/split, and how the
-    # untouched circles renumber
-    def edge_plan(s: int, c: int):
-        """Returns (kind, data); kind in {'merge','split','zero'}."""
-        tgt = s | (1 << c)
-        src_circ = circles[s]
-        tgt_circ = circles[tgt]
-        src_of_port = {}
-        for i, circ in enumerate(src_circ):
-            for p in circ:
-                src_of_port[p] = i
-        tgt_of_port = {}
-        for i, circ in enumerate(tgt_circ):
-            for p in circ:
-                tgt_of_port[p] = i
-        base = 4 * c
-        x = src_of_port[base]
-        y = src_of_port[base + 2]
-        loops = d.free_loops
-        k_src = len(src_circ)
-        k_tgt = len(tgt_circ)
-        if x != y:
-            z = tgt_of_port[base]
-            remap = [0] * (k_src + loops)
-            for i, circ in enumerate(src_circ):
-                if i in (x, y):
-                    remap[i] = z
-                else:
-                    remap[i] = tgt_of_port[circ[0]]
-            for j in range(loops):
-                remap[k_src + j] = k_tgt + j
-            return "merge", (x, y, z, remap)
-        z1 = tgt_of_port[base]
-        z2 = tgt_of_port[base + 1]
-        if z1 == z2:
-            return "zero", None
-        remap = [0] * (k_src + loops)
-        for i, circ in enumerate(src_circ):
-            if i == x:
-                remap[i] = -1  # handled by the split itself
-            else:
-                remap[i] = tgt_of_port[circ[0]]
-        for j in range(loops):
-            remap[k_src + j] = k_tgt + j
-        return "split", (x, z1, z2, remap)
-
-    plans: dict[tuple[int, int], tuple[str, object]] = {}
-    for s in range(states):
-        for c in range(n):
-            if not s >> c & 1:
-                plans[(s, c)] = edge_plan(s, c)
-
-    def apply_edge(s: int, mask: int, c: int) -> list[tuple[int, int, int]]:
-        """Images of basis vector (s, mask) along edge c: (s', mask', coeff)."""
-        kind, data = plans[(s, c)]
-        if kind == "zero":
-            if field == Q:
-                # impossible for orientable atoms; a trip here means the
-                # orientability test and the cube disagree
-                raise AssertionError("single-cycle event in a rational complex")
-            return []
-        tgt = s | (1 << c)
-        if field == Q:
-            sign = -1 if (s & ((1 << c) - 1)).bit_count() % 2 else 1
-        else:
-            sign = 1
-        out = []
-        if kind == "merge":
-            x, y, z, remap = data
-            bx = mask >> x & 1
-            by = mask >> y & 1
-            if bx and by:
-                zbit = 1
-            elif bx or by:
-                zbit = 0
-            else:
-                return []  # v- times v- dies
-            new_mask = zbit << z
-            for i, m in enumerate(remap):
-                if i in (x, y):
-                    continue
-                if mask >> i & 1:
-                    new_mask |= 1 << m
-            out.append((tgt, new_mask, sign))
-        else:
-            x, z1, z2, remap = data
-            rest = 0
-            for i, m in enumerate(remap):
-                if i == x:
-                    continue
-                if mask >> i & 1:
-                    rest |= 1 << m
-            if mask >> x & 1:
-                out.append((tgt, rest | 1 << z1, sign))
-                out.append((tgt, rest | 1 << z2, sign))
-            else:
-                out.append((tgt, rest, sign))
-        return out
-
-    blocks: dict[tuple[int, int], list[Column]] = {}
-    for key, basis in bases.items():
-        t, q = key
-        tgt_pos = pos.get((t + 1, q), {})
-        cols: list[Column] = []
-        for s, mask in basis:
-            col: dict[int, int] = {}
-            for c in range(n):
-                if s >> c & 1:
-                    continue
-                for s2, m2, coeff in apply_edge(s, mask, c):
-                    idx = tgt_pos[(s2, m2)]
-                    v = col.get(idx, 0) + coeff
-                    if field == GF2:
-                        v &= 1
-                    if v:
-                        col[idx] = v
-                    else:
-                        col.pop(idx, None)
-            cols.append(sorted(col.items()))
-        blocks[key] = cols
-
-    complex_ = KhComplex(field, n, n_plus, n_minus, bases, blocks)
+    complex_ = _skeleton(d, *crossing_signs(d, o))
+    if field == Q:
+        return rational_complex(complex_, check=check)
     if check:
         _assert_d_squared_zero(complex_)
     return complex_
 
 
+def _skeleton(d: Diagram, n_plus: int, n_minus: int) -> KhComplex:
+    """The complex over GF(2), every entry (target, 1), from one labelled
+    pass over the cube.  The masks of popcount j of a state sit in
+    increasing order in block (t, q_j), so a basis element's position is
+    the offset of that run plus the rank of its mask among the masks of
+    popcount j.  Along an edge the untouched circles keep their labels
+    under a renumbering, tabulated once for all masks of the source."""
+    n, loops = d.n, d.free_loops
+    arc_of = d.arc_index
+    labels = label_states(d)
+    k_of = [len(firsts) + loops for _, firsts in labels]
+    width = max(k_of)
+    popcount = [m.bit_count() for m in range(1 << width)]
+    by_popcount = {
+        k: [[m for m in range(1 << k) if popcount[m] == j] for j in range(k + 1)]
+        for k in set(k_of)
+    }
+    rank_in_popcount = [0] * (1 << width)
+    for masks in by_popcount[width]:
+        for rank, m in enumerate(masks):
+            rank_in_popcount[m] = rank
+
+    bases: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    keys = []  # per state, the block of its masks of each popcount
+    offsets = []
+    counts: Counter = Counter()
+    for s, k in enumerate(k_of):
+        r = s.bit_count()
+        counts[r, k] += 1
+        base_q = r + n_plus - 2 * n_minus - k
+        keys.append([(r - n_minus, base_q + 2 * j) for j in range(k + 1)])
+        off = []
+        for key, masks in zip(keys[s], by_popcount[k]):
+            block = bases.setdefault(key, [])
+            off.append(len(block))
+            block.extend((s, m) for m in masks)
+        offsets.append(off)
+    entry = [(i, 1) for i in range(max(map(len, bases.values())))]
+    where = [
+        [entry[off[popcount[m]] + rank_in_popcount[m]] for m in range(1 << k)]
+        for off, k in zip(offsets, k_of)
+    ]
+
+    blocks: dict[tuple[int, int], list[Column]] = {key: [] for key in bases}
+    zero_edges = 0
+    for s, (label, firsts) in enumerate(labels):
+        k = k_of[s]
+        cols: list[Column] = [[] for _ in range(1 << k)]
+        for c in range(n):
+            if s >> c & 1:
+                continue
+            tgt = s | 1 << c
+            tgt_label, tgt_firsts = labels[tgt]
+            to = where[tgt]
+            x, y = label[arc_of[4 * c]], label[arc_of[4 * c + 2]]
+            if x == y:
+                z1, z2 = tgt_label[arc_of[4 * c]], tgt_label[arc_of[4 * c + 1]]
+                if z1 == z2:  # one circle re-glued to itself: the zero map
+                    zero_edges += 1
+                    continue
+            # image of the untouched circles' labels, for every mask
+            image = [0]
+            for i, first in enumerate(firsts):
+                bit = 0 if i in (x, y) else 1 << tgt_label[first]
+                image += [v | bit for v in image]
+            for j in range(loops):
+                bit = 1 << (len(tgt_firsts) + j)
+                image += [v | bit for v in image]
+            xb, yb = 1 << x, 1 << y
+            if x != y:  # merge: ++ -> +, +- and -+ -> -, -- -> 0
+                zb = 1 << tgt_label[arc_of[4 * c]]
+                for m, col in enumerate(cols):
+                    if m & xb:
+                        col.append(to[image[m] | zb if m & yb else image[m]])
+                    elif m & yb:
+                        col.append(to[image[m]])
+            else:  # split: + -> +- and -+, - -> --
+                lo, hi = sorted((1 << z1, 1 << z2))
+                for m, col in enumerate(cols):
+                    if m & xb:
+                        col.append(to[image[m] | lo])
+                        col.append(to[image[m] | hi])
+                    else:
+                        col.append(to[image[m]])
+        for key, masks in zip(keys[s], by_popcount[k]):
+            blocks[key].extend(cols[m] for m in masks)
+    return KhComplex(GF2, n, n_plus, n_minus, bases, blocks, counts, zero_edges)
+
+
+def rational_complex(c: KhComplex, *, check: bool = True) -> KhComplex:
+    """The complex over Q on the skeleton of a GF(2) complex: the entry
+    of the edge from state s to s + 2^i takes the sign (-1)^(number of
+    set bits of s below i)."""
+    if c.zero_edges:
+        # impossible for orientable atoms; a trip here means the
+        # orientability test and the cube disagree
+        raise AssertionError("single-cycle event in a rational complex")
+    # bit i of odd[s]: the parity of the bits of s below i, kept where s
+    # is clear, so that it meets a target state in the edge's own bit
+    odd = []
+    for s in range(1 << c.n):
+        below, shift = s << 1, 1
+        while shift < c.n:
+            below ^= below << shift
+            shift <<= 1
+        odd.append(below & ~s)
+    negative = [(i, -1) for i in range(max(map(len, c.bases.values())))]
+    blocks: dict[tuple[int, int], list[Column]] = {}
+    for (t, q), cols in c.blocks.items():
+        targets = [s for s, _ in c.bases.get((t + 1, q), ())]
+        blocks[t, q] = [
+            [negative[e[0]] if odd[s] & targets[e[0]] else e for e in col]
+            for (s, _), col in zip(c.bases[t, q], cols)
+        ]
+    out = replace(c, field=Q, blocks=blocks)
+    if check:
+        _assert_d_squared_zero(out)
+    return out
+
+
 def _assert_d_squared_zero(c: KhComplex) -> None:
+    """d.d = 0 block by block: over GF(2) by XOR of the next block's
+    columns as bitsets, over Q by exact integer accumulation."""
     for (t, q), cols in c.blocks.items():
         nxt = c.blocks.get((t + 1, q))
         if not nxt:
             continue
-        for col in cols:
-            acc: dict[int, int] = {}
-            for idx, coeff in col:
-                for idx2, coeff2 in nxt[idx]:
-                    v = acc.get(idx2, 0) + coeff * coeff2
-                    if c.field == GF2:
-                        v &= 1
-                    if v:
-                        acc[idx2] = v
-                    else:
-                        acc.pop(idx2, None)
-            if acc:
-                raise AssertionError(
-                    f"differential does not square to zero at (t={t}, q={q})"
-                )
+        if c.field == GF2:
+            bits = [sum([1 << i for i, _ in col]) for col in nxt]
+            for col in cols:
+                acc = 0
+                for i, _ in col:
+                    acc ^= bits[i]
+                if acc:
+                    break
+            else:
+                continue
+        else:
+            for col in cols:
+                sums: dict[int, int] = {}
+                for i, a in col:
+                    for j, b in nxt[i]:
+                        sums[j] = sums.get(j, 0) + a * b
+                if any(sums.values()):
+                    break
+            else:
+                continue
+        raise AssertionError(
+            f"differential does not square to zero at (t={t}, q={q})"
+        )
 
 
 def _block_rank(c: KhComplex, key: tuple[int, int]) -> int:
@@ -399,15 +410,8 @@ def _block_rank(c: KhComplex, key: tuple[int, int]) -> int:
     cols = c.blocks.get(key)
     if not cols:
         return 0
-    if c.field == GF2:
-        rows = []
-        for col in cols:
-            v = 0
-            for idx, coeff in col:
-                if coeff & 1:
-                    v |= 1 << idx
-            rows.append(v)
-        return gf2_rank(rows)
+    if c.field == GF2:  # a column's targets are distinct, so sum is OR
+        return gf2_rank([sum([1 << i for i, a in col if a & 1]) for col in cols])
     return sparse_integer_rank([dict(col) for col in cols])
 
 
@@ -444,6 +448,12 @@ def thickness(tab: KhTable) -> Fraction:
     (non-orientable atoms over GF(2)) give half-integer values.
     """
     return Fraction(tab.diagonal_spread(), 2) + 1
+
+
+def json_number(x: Fraction) -> int | float:
+    """A thickness for JSON: an int when whole, else a float (exact for
+    the half-integers a thickness can take)."""
+    return int(x) if x.denominator == 1 else float(x)
 
 
 def q_span(tab: KhTable) -> int:

@@ -13,11 +13,9 @@ class Laurent:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict[int, int] | None = None):
-        self.coeffs: dict[int, int] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if c != 0:
-                    self.coeffs[int(e)] = int(c)
+        self.coeffs: dict[int, int] = {
+            int(e): int(c) for e, c in (coeffs or {}).items() if c != 0
+        }
 
     @classmethod
     def zero(cls) -> "Laurent":
@@ -49,21 +47,13 @@ class Laurent:
             other = Laurent({0: other})
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        result = Laurent()
-        result.coeffs = out
-        return result
+            out[e] = out.get(e, 0) + c
+        return Laurent(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Laurent":
-        result = Laurent()
-        result.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return result
+        return Laurent({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "Laurent | int") -> "Laurent":
         if isinstance(other, int):
@@ -76,15 +66,8 @@ class Laurent:
         out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        result = Laurent()
-        result.coeffs = out
-        return result
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return Laurent(out)
 
     __rmul__ = __mul__
 
@@ -116,9 +99,7 @@ class Laurent:
 
     def substitute_inverse(self) -> "Laurent":
         """Replace the variable x by x^-1."""
-        result = Laurent()
-        result.coeffs = {-e: c for e, c in self.coeffs.items()}
-        return result
+        return Laurent({-e: c for e, c in self.coeffs.items()})
 
     def substitute_signed_power(self, sign: int, k: int) -> "Laurent":
         """Replace the variable x by sign * y^k, returning a polynomial in y.
@@ -129,16 +110,8 @@ class Laurent:
             raise ValueError("sign must be +1 or -1")
         out: dict[int, int] = {}
         for e, c in self.coeffs.items():
-            v = c if (sign == 1 or e % 2 == 0) else -c
-            ne = k * e
-            w = out.get(ne, 0) + v
-            if w:
-                out[ne] = w
-            else:
-                out.pop(ne, None)
-        result = Laurent()
-        result.coeffs = out
-        return result
+            out[k * e] = out.get(k * e, 0) + (c if sign == 1 or e % 2 == 0 else -c)
+        return Laurent(out)
 
     def terms(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs, highest exponent first."""

@@ -19,10 +19,11 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import khovanov as kh
-from .atom import build_atom, genus as atom_genus
-from .diagram import Diagram, is_connected, orient
-from .errors import DiagramError, TableError
-from .statesum import is_1_complete
+from .atom import GenusValue, build_atom, genus as atom_genus
+from .diagram import Diagram, is_connected
+from .errors import DiagramError, InvariantError, TableError
+from .laurent import LOOP, Laurent
+from .statesum import bracket_completeness, bracket_from_counts, kauffman_bracket
 
 __all__ = ["FieldReport", "Certificate", "certify", "certify_from_table"]
 
@@ -43,15 +44,18 @@ class FieldReport:
     broad_1_complete: bool
     two_complete: bool
 
+    @classmethod
+    def of(cls, tab: kh.KhTable, broad: bool, two: bool) -> "FieldReport":
+        return cls(
+            tab.field, dict(tab.entries), kh.thickness(tab), kh.q_span(tab),
+            tab.q_min(), tab.q_max(), broad, two,
+        )
+
     def to_json_dict(self) -> dict:
-        thick = self.thickness
         return {
             "field": self.field,
-            "entries": [
-                {"t": t, "q": q, "dim": dim}
-                for (t, q), dim in sorted(self.entries.items())
-            ],
-            "thickness": int(thick) if thick.denominator == 1 else float(thick),
+            "entries": kh.KhTable(self.field, self.entries).to_json_dict()["entries"],
+            "thickness": kh.json_number(self.thickness),
             "q_span": self.q_span,
             "q_min": self.q_min,
             "q_max": self.q_max,
@@ -98,9 +102,7 @@ class Certificate:
             "strict_1_complete": self.strict_1_complete,
             "broad_1_complete": self.broad_1_complete,
             "two_complete": self.two_complete,
-            "thickness": None
-            if thick is None
-            else (int(thick) if thick.denominator == 1 else float(thick)),
+            "thickness": None if thick is None else kh.json_number(thick),
             "fields": {name: rep.to_json_dict() for name, rep in self.fields.items()},
             "verdict": self.verdict,
             "reasoning": list(self.reasoning),
@@ -117,17 +119,34 @@ def certify(
 
     fields defaults to GF(2) plus the rationals when the atom is
     orientable; an explicit request for the rationals on a
-    non-orientable atom propagates the error.
+    non-orientable atom propagates the error.  Every field is checked
+    against its limit before the cube is walked.  The cube is walked
+    once: one GF(2) complex carries the bracket's state counts, and the
+    rational complex takes its skeleton.
     """
     if not is_connected(d):
         raise DiagramError(
             "minimality certification needs a connected diagram; split the"
             " input into components and certify each"
         )
-    strict, details = is_1_complete(d)
-    chi = details["chi"]
     atom = build_atom(d)
     g = atom_genus(atom)
+    if fields is None:
+        fields = [kh.GF2] + ([kh.Q] if g.orientable else [])
+    for name in fields:
+        kh.check_field(d, name, max_crossings=max_crossings, atom=atom)
+    complex_ = None
+    if fields:
+        complex_ = kh.build_complex(d, None, kh.GF2, max_crossings=max_crossings)
+        bracket = bracket_from_counts(d, complex_.state_counts)
+    else:
+        bracket = kauffman_bracket(d)
+    strict, details = bracket_completeness(d, bracket)
+    chi = details["chi"]
+    if bracket and details["span"] > details["bound"]:
+        raise InvariantError(
+            f"bracket span {details['span']} above 4n + 2(chi - 2) = {details['bound']}"
+        )
 
     reasoning = [
         f"n = {d.n} classical crossings",
@@ -137,33 +156,28 @@ def certify(
         f" -> strict 1-completeness {'holds' if strict else 'fails'}",
     ]
 
-    if fields is None:
-        fields = [kh.GF2] + ([kh.Q] if g.orientable else [])
+    tables = {}
+    if kh.GF2 in fields:
+        tables[kh.GF2] = kh.homology(complex_)
+    if kh.Q in fields:
+        complex_ = kh.rational_complex(complex_)  # the GF(2) blocks go here
+        tables[kh.Q] = kh.homology(complex_)
+    if tables:
+        _check_tables(tables, bracket, complex_.n_plus - complex_.n_minus, g)
     reports: dict[str, FieldReport] = {}
     for name in fields:
-        table = kh.kh_table(d, name, max_crossings=max_crossings)
-        thick = kh.thickness(table)
-        span = kh.q_span(table)
+        table = tables[name]
         broad = kh.broad_1_complete(table, d.n, chi)
         two = kh.is_2_complete(table, g)
-        reports[name] = FieldReport(
-            field=name,
-            entries=dict(table.entries),
-            thickness=thick,
-            q_span=span,
-            q_min=table.q_min(),
-            q_max=table.q_max(),
-            broad_1_complete=broad,
-            two_complete=two,
-        )
+        rep = reports[name] = FieldReport.of(table, broad, two)
         reasoning.append(
-            f"kh[{name}]: thickness = {thick}, q-span = {span}"
-            f" (q in [{table.q_min()}, {table.q_max()}]), bound 2n + chi ="
+            f"kh[{name}]: thickness = {rep.thickness}, q-span = {rep.q_span}"
+            f" (q in [{rep.q_min}, {rep.q_max}]), bound 2n + chi ="
             f" {2 * d.n + chi} -> broad 1-completeness"
             f" {'holds' if broad else 'fails'}"
         )
         reasoning.append(
-            f"kh[{name}]: thickness {thick} vs genus + 2 ="
+            f"kh[{name}]: thickness {rep.thickness} vs genus + 2 ="
             f" {g.value + 2} -> 2-completeness"
             f" {'holds' if two else 'fails'}"
         )
@@ -189,6 +203,31 @@ def certify(
     )
     reasoning.append(f"verdict: {cert.verdict}")
     return replace(cert, reasoning=tuple(reasoning))
+
+
+def _check_tables(
+    tables: dict[str, kh.KhTable], bracket: Laurent, writhe: int, g: GenusValue
+) -> None:
+    """The paper's identities the tables must meet: the graded Euler
+    characteristic of each at q = -A^-2 is (-A^2 - A^-2)(-A^3)^-w <D>,
+    each thickness is at most genus + 2, and GF(2) dimensions are at
+    least the rational ones."""
+    euler = LOOP * Laurent.term(-1 if writhe % 2 else 1, -3 * writhe) * bracket
+    for name, tab in tables.items():
+        if kh.graded_euler_characteristic(tab).substitute_signed_power(-1, -2) != euler:
+            raise InvariantError(
+                f"graded Euler characteristic over {name} is not the bracket"
+            )
+        if kh.thickness(tab) > g.value + 2:
+            raise InvariantError(
+                f"thickness over {name} is {kh.thickness(tab)},"
+                f" above genus + 2 = {g.value + 2}"
+            )
+    if kh.GF2 in tables and kh.Q in tables:
+        gf2 = tables[kh.GF2].entries
+        for (t, q), dim in tables[kh.Q].entries.items():
+            if gf2.get((t, q), 0) < dim:
+                raise InvariantError(f"GF(2) dimension below Q at (t={t}, q={q})")
 
 
 def certify_from_table(
@@ -248,16 +287,7 @@ def certify_from_table(
         f" {'holds' if two else 'fails'}"
     )
 
-    report = FieldReport(
-        field=tab.field,
-        entries=dict(tab.entries),
-        thickness=thick,
-        q_span=span,
-        q_min=tab.q_min(),
-        q_max=tab.q_max(),
-        broad_1_complete=broad,
-        two_complete=two,
-    )
+    report = FieldReport.of(tab, broad, two)
     cert = Certificate(
         n=n,
         chi=chi_used,

@@ -14,13 +14,14 @@ orientable all b_counts also share one parity.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 from .diagram import Diagram
 from .errors import LimitError
 from .khovanov import resolve_limit
-from .statesum import StateSummary, all_a_b_circles, circles_of_state
+from .statesum import StateSummary, all_a_b_circles, circle_counts
 
 __all__ = ["SingleCircleCensus", "single_circle_census", "single_circle_window"]
 
@@ -66,10 +67,7 @@ class SingleCircleCensus:
         return all(lo <= b <= hi for b in self.b_values)
 
     def b_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for s in self.states:
-            hist[s.b_count] = hist.get(s.b_count, 0) + 1
-        return dict(sorted(hist.items()))
+        return dict(sorted(Counter(s.b_count for s in self.states).items()))
 
 
 def single_circle_window(d: Diagram) -> tuple[int, int]:
@@ -81,19 +79,14 @@ def single_circle_window(d: Diagram) -> tuple[int, int]:
 def single_circle_census(
     d: Diagram, *, max_crossings: int | None = None
 ) -> SingleCircleCensus:
-    """Exhaustive census over all 2^n states, filtered to one circle."""
+    """One counting pass over all 2^n states, filtered to one circle."""
     limit = resolve_limit(max_crossings, DEFAULT_MAX_CENSUS)
     if d.n > limit:
         raise LimitError(f"diagram has {d.n} crossings; census limit is {limit}")
-    found = []
-    for state in range(1 << d.n):
-        circles = circles_of_state(d, state)
-        if circles == 1:
-            found.append(StateSummary(state, 1, state.bit_count()))
+    found = [
+        StateSummary(state, 1, state.bit_count())
+        for state, circles in enumerate(circle_counts(d))
+        if circles == 1
+    ]
     x, y = all_a_b_circles(d)
-    return SingleCircleCensus(
-        n=d.n,
-        states=tuple(found),
-        window=(x - 1, d.n + 1 - y),
-        chi=x + y - d.n,
-    )
+    return SingleCircleCensus(d.n, tuple(found), (x - 1, d.n + 1 - y), x + y - d.n)

@@ -277,3 +277,34 @@ def test_batch_continues_after_non_utf8_file(capsys, tmp_path):
     assert "a_bad.pd: error: cannot read" in lines[0]
     assert lines[1].endswith("b_good.pd: MINIMAL")
     assert "total: 2 files, 1 MINIMAL, 0 INCONCLUSIVE, 1 errors" in lines[-1]
+
+
+def test_certify_table_rejects_an_unknown_field(capsys, tmp_path):
+    p = tmp_path / "table.json"
+    p.write_text(
+        json.dumps({"field": "zz", "entries": [{"t": 0, "q": 1, "dim": 1}, {"t": 0, "q": -1, "dim": 1}]})
+    )
+    code, out, err = run(capsys, "certify-table", str(p), "--n", "0")
+    assert_one_line_error(code, err)
+    assert "unknown table field 'zz'" in err and out == ""
+
+
+def test_broken_invariant_is_a_one_line_error(capsys, tmp_path, monkeypatch):
+    import kmc.khovanov as kh
+
+    real = kh.homology
+
+    def one_more(c):
+        tab = real(c)
+        (key, dim), *_ = tab.entries.items()
+        return kh.KhTable(tab.field, {**tab.entries, key: dim + 1})
+
+    monkeypatch.setattr(kh, "homology", one_more)
+    code, out, err = run(capsys, "certify", str(FIXTURES / "trefoil.pd"))
+    assert_one_line_error(code, err)
+    assert "Euler characteristic" in err and out == ""
+    (tmp_path / "trefoil.pd").write_text((FIXTURES / "trefoil.pd").read_text())
+    code, out, err = run(capsys, "batch", str(tmp_path))
+    assert code == 1
+    assert "trefoil.pd: error: graded Euler characteristic" in out
+    assert "total: 1 files, 0 MINIMAL, 0 INCONCLUSIVE, 1 errors" in out

@@ -1,12 +1,15 @@
+import copy
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import FIXTURES, load
-from kmc.atom import GenusValue, build_atom, genus
-from kmc.diagram import Diagram, mirror, parse_gauss, r1_add, virtualize
+from kmc.atom import GenusValue, build_atom, genus, orientable
+from kmc.diagram import Diagram, crossing_signs, mirror, orient, parse_gauss, r1_add, virtualize
 from kmc.errors import LimitError, TableError, UnsupportedFieldError
 from kmc.generate import random_classical_diagram, random_virtual_diagram
 from kmc.khovanov import (
@@ -14,16 +17,18 @@ from kmc.khovanov import (
     KhTable,
     Q,
     broad_1_complete,
+    _assert_d_squared_zero,
     build_complex,
     graded_euler_characteristic,
     is_2_complete,
     kh_table,
     load_table,
     q_span,
+    rational_complex,
     thickness,
 )
 from kmc.laurent import Laurent
-from kmc.statesum import kauffman_bracket
+from kmc.statesum import circles_of_state, kauffman_bracket
 
 UNKNOT = Diagram(0, (), 1)
 
@@ -254,3 +259,78 @@ def test_disconnected_unlink_table():
     tab = kh_table(Diagram(0, (), 2), Q)
     assert tab.entries == {(0, -2): 1, (0, 0): 2, (0, 2): 1}
     assert thickness(tab) == 3
+
+
+# property tests of the complex built from the labelled cube
+
+DIAGRAMS = st.builds(
+    lambda virtual, n, seed: (random_virtual_diagram if virtual else random_classical_diagram)(
+        n, random.Random(seed)
+    ),
+    st.booleans(),
+    st.integers(1, 6),
+    st.integers(0, 10**6),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(DIAGRAMS)
+def test_chain_dimensions_are_binomial_sums(d):
+    n_plus, n_minus = crossing_signs(d, orient(d))
+    expected = {}
+    for s in range(1 << d.n):
+        r, k = s.bit_count(), circles_of_state(d, s)
+        for j in range(k + 1):
+            key = (r - n_minus, r + n_plus - 2 * n_minus - k + 2 * j)
+            expected[key] = expected.get(key, 0) + comb(k, j)
+    c = build_complex(d, None, GF2)
+    assert {key: len(basis) for key, basis in c.bases.items()} == expected
+    assert sum(c.state_counts.values()) == 2**d.n
+    # each column lists distinct targets in increasing order
+    assert all(
+        [i for i, _ in col] == sorted({i for i, _ in col}) for cols in c.blocks.values() for col in cols
+    )
+
+
+def _entry_with_a_composite(c):
+    """(block key, column, entry index) of an entry whose target column in
+    the next block is non-empty, so that d.d sees it."""
+    for (t, q), cols in c.blocks.items():
+        nxt = c.blocks.get((t + 1, q))
+        for j, col in enumerate(cols):
+            for e, (i, _) in enumerate(col):
+                if nxt and nxt[i]:
+                    return (t, q), j, e
+    return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(DIAGRAMS)
+def test_d_squared_checks_catch_a_changed_entry(d):
+    gf2 = build_complex(d, None, GF2)
+    spot = _entry_with_a_composite(gf2)
+    assume(spot is not None)
+    key, j, e = spot
+    fields = [gf2] + ([rational_complex(gf2)] if orientable(build_atom(d)) else [])
+    for c in fields:
+        dropped = copy.deepcopy(c)
+        del dropped.blocks[key][j][e]
+        with pytest.raises(AssertionError, match="square to zero"):
+            _assert_d_squared_zero(dropped)
+    if len(fields) == 2:  # signs exist over Q only; mod 2 a flip is no change
+        flipped = copy.deepcopy(fields[1])
+        i, v = flipped.blocks[key][j][e]
+        flipped.blocks[key][j][e] = (i, -v)
+        with pytest.raises(AssertionError, match="square to zero"):
+            _assert_d_squared_zero(flipped)
+
+
+@settings(max_examples=30, deadline=None)
+@given(DIAGRAMS)
+def test_rational_complex_is_the_signed_skeleton(d):
+    assume(orientable(build_atom(d)))
+    gf2, rat = build_complex(d, None, GF2), build_complex(d, None, Q)
+    assert rat.bases == gf2.bases
+    for key, cols in gf2.blocks.items():
+        assert [[(i, abs(v)) for i, v in col] for col in rat.blocks[key]] == cols
+        assert all(v in (1, -1) for col in rat.blocks[key] for _, v in col)

@@ -195,3 +195,84 @@ def test_seven_crossing_alternating_minimal():
     assert cert.strict_1_complete
     assert cert.twice_genus == 0
     assert cert.thickness == 2
+
+
+def test_limits_are_checked_before_the_cube_is_walked(monkeypatch):
+    import kmc.statesum
+    from kmc.errors import LimitError
+
+    d = load("trefoil.pd")
+    while d.n < 17:
+        d = r1_add(d, 0, 1)
+
+    def no_walk(d):
+        raise AssertionError("the cube was walked")
+
+    monkeypatch.setattr(kmc.statesum, "_walker", no_walk)
+    for fields in (None, [GF2], [Q], [GF2, Q]):
+        with pytest.raises(LimitError):
+            certify(d, fields)
+    with pytest.raises(UnsupportedFieldError):
+        certify(parse_gauss("O1+ O2+ U1+ U2+"), [GF2, Q])
+
+
+def _patched_tables(monkeypatch, change):
+    """Route every table certify computes through change(table)."""
+    import kmc.khovanov as kh
+
+    real = kh.homology
+    monkeypatch.setattr(kh, "homology", lambda c: change(real(c)))
+
+
+def test_invariant_euler_characteristic(monkeypatch):
+    from kmc.errors import InvariantError
+
+    def drop_one(tab):
+        entries = dict(tab.entries)
+        entries.pop(min(entries))
+        return KhTable(tab.field, entries)
+
+    _patched_tables(monkeypatch, drop_one)
+    with pytest.raises(InvariantError, match="Euler characteristic over gf2"):
+        certify(load("trefoil.pd"))
+
+
+def test_invariant_gf2_at_least_q(monkeypatch):
+    from kmc.errors import InvariantError
+
+    # a cancelling pair on the trefoil's two diagonals keeps the Euler
+    # characteristic and the thickness
+    def pair_over_q(tab):
+        if tab.field != Q:
+            return tab
+        return KhTable(Q, {**tab.entries, (-1, -3): 1, (0, -3): 2})
+
+    _patched_tables(monkeypatch, pair_over_q)
+    with pytest.raises(InvariantError, match="GF\\(2\\) dimension below Q"):
+        certify(load("trefoil.pd"))
+
+
+def test_invariant_thickness(monkeypatch):
+    from kmc.errors import InvariantError
+
+    def far_pair(tab):
+        return KhTable(tab.field, {**tab.entries, (0, 41): 1, (1, 41): 1})
+
+    _patched_tables(monkeypatch, far_pair)
+    with pytest.raises(InvariantError, match="thickness over gf2"):
+        certify(load("trefoil.pd"))
+
+
+def test_invariant_bracket_span(monkeypatch):
+    import kmc.minimality
+    from kmc.errors import InvariantError
+    from kmc.laurent import Laurent
+
+    real = kmc.minimality.bracket_from_counts
+    monkeypatch.setattr(
+        kmc.minimality,
+        "bracket_from_counts",
+        lambda d, counts: real(d, counts) + Laurent.term(1, 99),
+    )
+    with pytest.raises(InvariantError, match="bracket span"):
+        certify(load("trefoil.pd"))

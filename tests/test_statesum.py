@@ -1,13 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import load
 from kmc.diagram import Diagram, mirror, parse_gauss, r1_add, r2_add, virtualize
-from kmc.generate import random_virtual_diagram
+from kmc.generate import random_classical_diagram, random_virtual_diagram
 from kmc.laurent import Laurent
 from kmc.statesum import (
     all_a_b_circles,
+    circle_counts,
     circles_of_state,
     is_1_complete,
     kauffman_bracket,
@@ -143,3 +145,54 @@ def test_two_loop_clasp_bracket_is_loop_value():
     unlink = Diagram(0, (), 2)
     clasped = r2_add(unlink, 0, 1)
     assert kauffman_bracket(clasped) == LOOP
+
+
+# property tests of the circle walk against a union-find reference
+
+DIAGRAMS = st.builds(
+    lambda virtual, n, seed: (random_virtual_diagram if virtual else random_classical_diagram)(
+        n, random.Random(seed)
+    ),
+    st.booleans(),
+    st.integers(1, 7),
+    st.integers(0, 10**6),
+)
+
+
+def union_find_circles(d, state):
+    """Port partition of a state by union-find over arcs and smoothings."""
+    parent = list(range(4 * d.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    pairs = list(d.arcs)
+    for c in range(d.n):
+        base = 4 * c
+        if state >> c & 1:  # B-smoothing joins ports 1-2 and 3-0
+            pairs += [(base + 1, base + 2), (base + 3, base)]
+        else:  # A-smoothing joins ports 0-1 and 2-3
+            pairs += [(base, base + 1), (base + 2, base + 3)]
+    for p, q in pairs:
+        parent[find(p)] = find(q)
+    groups = {}
+    for port in range(4 * d.n):
+        groups.setdefault(find(port), []).append(port)
+    return sorted(tuple(g) for g in groups.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(DIAGRAMS, st.integers(0, 2**7 - 1))
+def test_walk_partition_matches_union_find(d, state):
+    state &= (1 << d.n) - 1
+    circles = state_circles(d, state)
+    assert list(circles) == union_find_circles(d, state)  # sorted by least port
+    assert circles_of_state(d, state) == len(circles) + d.free_loops
+
+
+@settings(max_examples=30, deadline=None)
+@given(DIAGRAMS)
+def test_counting_pass_matches_each_state(d):
+    assert list(circle_counts(d)) == [circles_of_state(d, s) for s in range(1 << d.n)]
