@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the crossing limits
+that raise ``LimitError``."""
+
+import os
+
+ENV_LIMIT = "KMC_MAX_CROSSINGS"
 
 
 class KmcError(Exception):
@@ -24,6 +29,20 @@ class DiagramError(KmcError):
 
 class LimitError(KmcError):
     """An enumeration limit (crossing count) was exceeded."""
+
+
+def resolve_limit(explicit: int | None, default: int) -> int:
+    """The explicit limit, else the KMC_MAX_CROSSINGS environment value,
+    else default."""
+    if explicit is not None:
+        return explicit
+    env = os.environ.get(ENV_LIMIT)
+    if env is not None:
+        try:
+            return int(env)
+        except ValueError as exc:
+            raise LimitError(f"bad {ENV_LIMIT} value {env!r}") from exc
+    return default
 
 
 class UnsupportedFieldError(KmcError):

@@ -24,15 +24,21 @@ complex only gives each entry its edge sign.  A basis element's position
 in its block is found by arithmetic on its state and mask, and each edge
 maps all masks of its source state through one table.
 
-Homology is computed per (t, q) block by exact rank computations, GF(2)
-rows as bitsets and rational blocks by integer elimination (unit pivots
-first, then a fraction-free fallback; see ``linalg``).
+Homology is computed per (t, q) block by exact rank computations: GF(2)
+rows as bitsets, rational blocks by integer elimination (unit pivots
+first, then a fraction-free fallback; see ``linalg``) only where GF(2)
+ranks do not pin them.  With r_F(t) the rank over F of the block
+d_t: C_t -> C_{t+1}, an odd minor is nonzero, so r_Q(t) >= r_2(t), and
+im lies in ker over Q, so r_Q(t-1) + r_Q(t) <= dim C_t.  Where GF(2)
+homology vanishes at C_t, dim C_t = r_2(t-1) + r_2(t), hence r_Q = r_2
+on both blocks at C_t: no 2-torsion lives there (Shumakovitch,
+arXiv:math/0405474).  This rests on both d.d = 0 checks: over Q for
+im in ker, over GF(2) for the GF(2) table to be homology.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -40,7 +46,7 @@ from pathlib import Path
 
 from . import atom as atom_mod
 from .diagram import Diagram, Orientation, crossing_signs, orient
-from .errors import LimitError, TableError, UnsupportedFieldError
+from .errors import LimitError, TableError, UnsupportedFieldError, resolve_limit
 from .laurent import Laurent
 from .linalg import gf2_rank, sparse_integer_rank
 from .statesum import label_states
@@ -68,19 +74,6 @@ Q = "q"
 
 DEFAULT_MAX_GF2 = 14
 DEFAULT_MAX_Q = 12
-ENV_LIMIT = "KMC_MAX_CROSSINGS"
-
-
-def resolve_limit(explicit: int | None, default: int) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(ENV_LIMIT)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise LimitError(f"bad {ENV_LIMIT} value {env!r}") from exc
-    return default
 
 
 # A differential column: list of (target basis index, coefficient).
@@ -104,6 +97,9 @@ class KhComplex:
     state_counts: dict[tuple[int, int], int]
     # cube edges that re-glue one circle to itself (zero maps, GF(2) only)
     zero_edges: int
+    # (t, q) -> GF(2) rank of the nonempty block leaving (t, q) reduced
+    # mod 2; filled by ``homology``, carried over by ``rational_complex``
+    gf2_ranks: dict[tuple[int, int], int] | None = None
 
     def total_dimension(self) -> int:
         return sum(len(b) for b in self.bases.values())
@@ -239,7 +235,8 @@ def build_complex(
 
     Rational coefficients require an orientable atom.  With check=True
     (the default) d.d = 0 is verified and an AssertionError raised on
-    failure.
+    failure; with check=False the rational ranks of ``homology`` assume
+    it.
     """
     check_field(d, field, max_crossings=max_crossings)
     if o is None:
@@ -404,30 +401,42 @@ def _assert_d_squared_zero(c: KhComplex) -> None:
         )
 
 
-def _block_rank(c: KhComplex, key: tuple[int, int]) -> int:
-    """Rank of the differential block leaving (t, q); columns work as
-    rows since transposition preserves rank."""
-    cols = c.blocks.get(key)
-    if not cols:
-        return 0
-    if c.field == GF2:  # a column's targets are distinct, so sum is OR
-        return gf2_rank([sum([1 << i for i, a in col if a & 1]) for col in cols])
-    return sparse_integer_rank([dict(col) for col in cols])
-
-
 def homology(c: KhComplex) -> KhTable:
-    """Per-(t, q) dimensions via rank-nullity on the graded blocks."""
-    ranks = {key: _block_rank(c, key) for key in c.blocks}
+    """Per-(t, q) dimensions via rank-nullity on the graded blocks.
+
+    Each block's GF(2) rank is computed once and kept in c.gf2_ranks
+    (columns work as rows: transposition preserves rank).  Over Q only a
+    block with nonzero GF(2) homology at both ends is eliminated; the
+    rest take their GF(2) rank, by the lemma in the module docstring,
+    which needs d.d = 0 over Q and over GF(2).  An eliminated rank below
+    its GF(2) rank raises an AssertionError.
+    """
+    if c.gf2_ranks is None:  # a column's targets are distinct, so sum is OR
+        c.gf2_ranks = {
+            key: gf2_rank([sum([1 << i for i, a in col if a & 1]) for col in cols])
+            for key, cols in c.blocks.items()
+            if cols
+        }
+    ranks = dict(c.gf2_ranks)
+    if c.field == Q:
+        gf2_homology = _dimensions(c, ranks)
+        for (t, q), rank in c.gf2_ranks.items():
+            if (t, q) in gf2_homology and (t + 1, q) in gf2_homology:
+                ranks[t, q] = sparse_integer_rank([dict(col) for col in c.blocks[t, q]])
+                if ranks[t, q] < rank:
+                    raise AssertionError(f"Q rank below GF(2) rank at (t={t}, q={q})")
+    return KhTable(c.field, _dimensions(c, ranks))
+
+
+def _dimensions(c: KhComplex, ranks: dict) -> dict[tuple[int, int], int]:
     entries: dict[tuple[int, int], int] = {}
     for (t, q), basis in c.bases.items():
-        rank_out = ranks.get((t, q), 0)
-        rank_in = ranks.get((t - 1, q), 0)
-        dim = len(basis) - rank_out - rank_in
+        dim = len(basis) - ranks.get((t, q), 0) - ranks.get((t - 1, q), 0)
         if dim < 0:
             raise AssertionError("negative homology dimension")
         if dim:
             entries[(t, q)] = dim
-    return KhTable(c.field, entries)
+    return entries
 
 
 def kh_table(
@@ -437,6 +446,8 @@ def kh_table(
     max_crossings: int | None = None,
     check: bool = True,
 ) -> KhTable:
+    """Homology of d over field; with check=False the rational ranks
+    assume d.d = 0 (see ``build_complex``)."""
     return homology(build_complex(d, None, field, max_crossings=max_crossings, check=check))
 
 

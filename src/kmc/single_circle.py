@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .diagram import Diagram
-from .errors import LimitError
-from .khovanov import resolve_limit
+from .errors import LimitError, resolve_limit
 from .statesum import StateSummary, all_a_b_circles, circle_counts
 
 __all__ = ["SingleCircleCensus", "single_circle_census", "single_circle_window"]

@@ -1,6 +1,8 @@
+import contextlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import load
 from kmc.diagram import (
@@ -19,7 +21,7 @@ from kmc.diagram import (
     switch_crossing,
     virtualize,
 )
-from kmc.errors import DiagramError, ParseError
+from kmc.errors import DiagramError, KmcError, ParseError
 from kmc.generate import random_classical_diagram, random_virtual_diagram
 
 TREFOIL_PD = "X 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3\n"
@@ -103,6 +105,28 @@ def test_render_parse_roundtrip_random():
     for _ in range(50):
         d = random_virtual_diagram(8, rng)
         assert parse_pd(render_pd(d)) == d
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), st.integers(0, 10), st.integers(0, 10**6), st.integers(0, 2))
+def test_render_parse_roundtrip_generated(virtual, n, seed, extra_loops):
+    generate = random_virtual_diagram if virtual else random_classical_diagram
+    d = generate(n, random.Random(seed))
+    d = Diagram(d.n, d.arcs, d.free_loops + extra_loops)
+    assert parse_pd(render_pd(d)) == d
+
+
+# token soup reaches the parsers' later checks more often than plain text
+PD_SOUP = st.lists(st.sampled_from(["X", "V", "loop", "1", "2", "3", "4", "a", "#", " ", "\n"]))
+GAUSS_SOUP = st.lists(st.sampled_from(["O1+", "U1+", "O2-", "U2-", "O1-", "U3+", "loop", ";", " ", "#", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), PD_SOUP.map("".join), GAUSS_SOUP.map("".join)))
+def test_parsers_raise_only_kmc_errors(text):
+    for parse in (parse_pd, parse_gauss):
+        with contextlib.suppress(KmcError):
+            parse(text)
 
 
 def test_orient_component_counts():

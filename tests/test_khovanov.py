@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import kmc.khovanov as kh
 from conftest import FIXTURES, load
 from kmc.atom import GenusValue, build_atom, genus, orientable
 from kmc.diagram import Diagram, crossing_signs, mirror, orient, parse_gauss, r1_add, virtualize
@@ -28,6 +29,8 @@ from kmc.khovanov import (
     thickness,
 )
 from kmc.laurent import Laurent
+from kmc.linalg import sparse_integer_rank
+from kmc.minimality import certify
 from kmc.statesum import circles_of_state, kauffman_bracket
 
 UNKNOT = Diagram(0, (), 1)
@@ -334,3 +337,56 @@ def test_rational_complex_is_the_signed_skeleton(d):
     for key, cols in gf2.blocks.items():
         assert [[(i, abs(v)) for i, v in col] for col in rat.blocks[key]] == cols
         assert all(v in (1, -1) for col in rat.blocks[key] for _, v in col)
+
+
+# rational ranks pinned by GF(2) ranks
+
+
+def full_elimination_table(d):
+    """The rational table with every block eliminated exactly: the
+    reference for the ranks that homology takes from GF(2)."""
+    c = build_complex(d, None, Q)
+    ranks = {key: sparse_integer_rank([dict(col) for col in cols]) for key, cols in c.blocks.items()}
+    entries = {}
+    for (t, q), basis in c.bases.items():
+        dim = len(basis) - ranks.get((t, q), 0) - ranks.get((t - 1, q), 0)
+        if dim:
+            entries[t, q] = dim
+    return entries
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 10**6))
+def test_pinned_rational_table_equals_full_elimination(n, seed):
+    d = random_classical_diagram(n, random.Random(seed))
+    assert kh_table(d, Q).entries == full_elimination_table(d)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(kh, name)
+    monkeypatch.setattr(kh, name, lambda rows: calls.append(len(rows)) or real(rows))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["trefoil.pd", "figure8.pd", "5_1.pd", "6_2.pd"])
+def test_torsion_blocks_are_eliminated(monkeypatch, name):
+    d = load(name)
+    assert kh_table(d, GF2).entries != kh_table(d, Q).entries
+    eliminated = _count_calls(monkeypatch, "sparse_integer_rank")
+    assert kh_table(d, Q).entries == full_elimination_table(d)
+    assert eliminated
+
+
+def test_eliminated_rank_below_gf2_rank_is_an_error(monkeypatch):
+    monkeypatch.setattr(kh, "sparse_integer_rank", lambda rows: 0)
+    with pytest.raises(AssertionError, match="below GF"):
+        kh_table(load("trefoil.pd"), Q)
+
+
+def test_certify_ranks_each_gf2_block_once(monkeypatch):
+    d = load("6_2.pd")
+    nonempty = sum(1 for cols in build_complex(d, None, GF2).blocks.values() if cols)
+    ranked = _count_calls(monkeypatch, "gf2_rank")
+    assert set(certify(d).fields) == {GF2, Q}
+    assert len(ranked) == nonempty
