@@ -2,7 +2,8 @@
 
 Subcommands: bracket, atom, kh, k1, certify, certify-table, batch.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 computation or input error, 2 usage error.  The environment variable
+1 computation or input error (a failed internal check or running out of
+memory included), 2 usage error.  The environment variable
 KMC_MAX_CROSSINGS (or --max-crossings) overrides enumeration limits.
 """
 
@@ -59,6 +60,10 @@ def load_diagram(path: str | Path) -> Diagram:
     if first in ("X", "V", "loop"):
         return parse_pd(text)
     return parse_gauss(text)
+
+
+def _message(exc: BaseException) -> str:
+    return "out of memory" if isinstance(exc, MemoryError) else str(exc)
 
 
 def _print_json(data: dict) -> None:
@@ -222,9 +227,9 @@ def _cmd_batch(cfg: RunConfig) -> int:
             d = load_diagram(path)
             cert = certify(d, cfg.fields, max_crossings=cfg.max_crossings)
             verdict = cert.verdict
-        except (KmcError, AssertionError) as exc:
+        except (KmcError, AssertionError, MemoryError) as exc:
             counts["error"] += 1
-            print(f"{path}: error: {exc}")
+            print(f"{path}: error: {_message(exc)}")
             continue
         counts[verdict] += 1
         print(f"{path}: {verdict}")
@@ -345,8 +350,8 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"kmc: parse error: {exc}", file=sys.stderr)
         return 1
-    except KmcError as exc:
-        print(f"kmc: {exc}", file=sys.stderr)
+    except (KmcError, AssertionError, MemoryError) as exc:
+        print(f"kmc: {_message(exc)}", file=sys.stderr)
         return 1
 
 

@@ -17,10 +17,10 @@ rationals the usual edge sign (-1)^(number of set lower bits) applies
 and the atom must be orientable.
 
 The complex is built from one labelled pass over the cube (see
-``statesum.label_states``).  Every column entry is +-1 and every entry
-of a column has its own target, so the GF(2) complex is the rational one
-reduced mod 2: the skeleton is built once, over GF(2), and the rational
-complex only gives each entry its edge sign.  A basis element's position
+``statesum.label_states``), once, for the field asked for.  Every column
+entry is +-1 (unsigned over GF(2)) and every entry of a column has its
+own target, so the GF(2) complex is the rational one reduced mod 2, and
+one complex built over Q serves both tables.  A basis element's position
 in its block is found by arithmetic on its state and mask, and each edge
 maps all masks of its source state through one table.
 
@@ -32,15 +32,18 @@ d_t: C_t -> C_{t+1}, an odd minor is nonzero, so r_Q(t) >= r_2(t), and
 im lies in ker over Q, so r_Q(t-1) + r_Q(t) <= dim C_t.  Where GF(2)
 homology vanishes at C_t, dim C_t = r_2(t-1) + r_2(t), hence r_Q = r_2
 on both blocks at C_t: no 2-torsion lives there (Shumakovitch,
-arXiv:math/0405474).  This rests on both d.d = 0 checks: over Q for
-im in ker, over GF(2) for the GF(2) table to be homology.
+arXiv:math/0405474).  This needs d.d = 0 over Q, for im in ker, and
+over GF(2), for the GF(2) table to be homology.  One integer check gives
+both: the GF(2) blocks are the Q blocks reduced mod 2, entry for entry,
+so d.d = 0 over Z reduces to d.d = 0 mod 2.  A complex built over GF(2)
+alone keeps its own XOR check.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,7 +61,6 @@ __all__ = [
     "KhTable",
     "check_field",
     "build_complex",
-    "rational_complex",
     "homology",
     "kh_table",
     "thickness",
@@ -98,7 +100,7 @@ class KhComplex:
     # cube edges that re-glue one circle to itself (zero maps, GF(2) only)
     zero_edges: int
     # (t, q) -> GF(2) rank of the nonempty block leaving (t, q) reduced
-    # mod 2; filled by ``homology``, carried over by ``rational_complex``
+    # mod 2; filled by the first ``homology`` call
     gf2_ranks: dict[tuple[int, int], int] | None = None
 
     def total_dimension(self) -> int:
@@ -230,32 +232,39 @@ def build_complex(
     *,
     max_crossings: int | None = None,
     check: bool = True,
+    atom: atom_mod.Atom | None = None,
 ) -> KhComplex:
     """Build the cube complex of d over GF(2) or Q.
 
-    Rational coefficients require an orientable atom.  With check=True
-    (the default) d.d = 0 is verified and an AssertionError raised on
-    failure; with check=False the rational ranks of ``homology`` assume
-    it.
+    Rational coefficients require an orientable atom (pass d's atom when
+    it is at hand, as for ``check_field``).  A complex over Q carries
+    both tables (see ``homology``).  With check=True (the default) d.d = 0
+    is verified over the complex's own field, which for Q implies it over
+    GF(2), and an AssertionError raised on failure; with check=False the
+    ranks of ``homology`` assume it.
     """
-    check_field(d, field, max_crossings=max_crossings)
+    check_field(d, field, max_crossings=max_crossings, atom=atom)
     if o is None:
         o = orient(d)
-    complex_ = _skeleton(d, *crossing_signs(d, o))
-    if field == Q:
-        return rational_complex(complex_, check=check)
+    complex_ = _skeleton(d, *crossing_signs(d, o), field)
+    if field == Q and complex_.zero_edges:
+        # impossible for orientable atoms; a trip here means the
+        # orientability test and the cube disagree
+        raise AssertionError("single-cycle event in a rational complex")
     if check:
         _assert_d_squared_zero(complex_)
     return complex_
 
 
-def _skeleton(d: Diagram, n_plus: int, n_minus: int) -> KhComplex:
-    """The complex over GF(2), every entry (target, 1), from one labelled
-    pass over the cube.  The masks of popcount j of a state sit in
-    increasing order in block (t, q_j), so a basis element's position is
-    the offset of that run plus the rank of its mask among the masks of
-    popcount j.  Along an edge the untouched circles keep their labels
-    under a renumbering, tabulated once for all masks of the source."""
+def _skeleton(d: Diagram, n_plus: int, n_minus: int, field: str) -> KhComplex:
+    """The complex over field from one labelled pass over the cube.  The
+    masks of popcount j of a state sit in increasing order in block
+    (t, q_j), so a basis element's position is the offset of that run
+    plus the rank of its mask among the masks of popcount j.  Along an
+    edge the untouched circles keep their labels under a renumbering,
+    tabulated once for all masks of the source.  Over GF(2) every entry
+    is (target, 1); over Q the edge from s to s + 2^c takes the sign
+    (-1)^(number of set bits of s below c)."""
     n, loops = d.n, d.free_loops
     arc_of = d.arc_index
     labels = label_states(d)
@@ -291,6 +300,13 @@ def _skeleton(d: Diagram, n_plus: int, n_minus: int) -> KhComplex:
         [entry[off[popcount[m]] + rank_in_popcount[m]] for m in range(1 << k)]
         for off, k in zip(offsets, k_of)
     ]
+    # signed[p][tgt]: the entry of each mask of tgt along an edge whose
+    # source has p mod 2 set bits below the edge's bit; over GF(2) both
+    # parities read the unsigned table
+    signed = (where, where)
+    if field == Q:
+        negative = [(i, -1) for i, _ in entry]
+        signed = (where, [[negative[i] for i, _ in to] for to in where])
 
     blocks: dict[tuple[int, int], list[Column]] = {key: [] for key in bases}
     zero_edges = 0
@@ -302,7 +318,7 @@ def _skeleton(d: Diagram, n_plus: int, n_minus: int) -> KhComplex:
                 continue
             tgt = s | 1 << c
             tgt_label, tgt_firsts = labels[tgt]
-            to = where[tgt]
+            to = signed[(s & ((1 << c) - 1)).bit_count() & 1][tgt]
             x, y = label[arc_of[4 * c]], label[arc_of[4 * c + 2]]
             if x == y:
                 z1, z2 = tgt_label[arc_of[4 * c]], tgt_label[arc_of[4 * c + 1]]
@@ -335,38 +351,7 @@ def _skeleton(d: Diagram, n_plus: int, n_minus: int) -> KhComplex:
                         col.append(to[image[m]])
         for key, masks in zip(keys[s], by_popcount[k]):
             blocks[key].extend(cols[m] for m in masks)
-    return KhComplex(GF2, n, n_plus, n_minus, bases, blocks, counts, zero_edges)
-
-
-def rational_complex(c: KhComplex, *, check: bool = True) -> KhComplex:
-    """The complex over Q on the skeleton of a GF(2) complex: the entry
-    of the edge from state s to s + 2^i takes the sign (-1)^(number of
-    set bits of s below i)."""
-    if c.zero_edges:
-        # impossible for orientable atoms; a trip here means the
-        # orientability test and the cube disagree
-        raise AssertionError("single-cycle event in a rational complex")
-    # bit i of odd[s]: the parity of the bits of s below i, kept where s
-    # is clear, so that it meets a target state in the edge's own bit
-    odd = []
-    for s in range(1 << c.n):
-        below, shift = s << 1, 1
-        while shift < c.n:
-            below ^= below << shift
-            shift <<= 1
-        odd.append(below & ~s)
-    negative = [(i, -1) for i in range(max(map(len, c.bases.values())))]
-    blocks: dict[tuple[int, int], list[Column]] = {}
-    for (t, q), cols in c.blocks.items():
-        targets = [s for s, _ in c.bases.get((t + 1, q), ())]
-        blocks[t, q] = [
-            [negative[e[0]] if odd[s] & targets[e[0]] else e for e in col]
-            for (s, _), col in zip(c.bases[t, q], cols)
-        ]
-    out = replace(c, field=Q, blocks=blocks)
-    if check:
-        _assert_d_squared_zero(out)
-    return out
+    return KhComplex(field, n, n_plus, n_minus, bases, blocks, counts, zero_edges)
 
 
 def _assert_d_squared_zero(c: KhComplex) -> None:
@@ -401,16 +386,21 @@ def _assert_d_squared_zero(c: KhComplex) -> None:
         )
 
 
-def homology(c: KhComplex) -> KhTable:
-    """Per-(t, q) dimensions via rank-nullity on the graded blocks.
+def homology(c: KhComplex, field: str | None = None) -> KhTable:
+    """Per-(t, q) dimensions over field (default c.field) via
+    rank-nullity on the graded blocks.
 
-    Each block's GF(2) rank is computed once and kept in c.gf2_ranks
-    (columns work as rows: transposition preserves rank).  Over Q only a
-    block with nonzero GF(2) homology at both ends is eliminated; the
-    rest take their GF(2) rank, by the lemma in the module docstring,
-    which needs d.d = 0 over Q and over GF(2).  An eliminated rank below
-    its GF(2) rank raises an AssertionError.
+    GF(2) ranks come from any complex, its entries read mod 2; each
+    block's GF(2) rank is computed once and kept in c.gf2_ranks (columns
+    work as rows: transposition preserves rank).  Q ranks need a complex
+    built over Q.  There only a block with nonzero GF(2) homology at both
+    ends is eliminated; the rest take their GF(2) rank, by the lemma in
+    the module docstring.  An eliminated rank below its GF(2) rank
+    raises an AssertionError.
     """
+    field = field or c.field
+    if field not in (GF2, Q) or (field == Q and c.field != Q):
+        raise UnsupportedFieldError(f"no {field} table from a complex over {c.field}")
     if c.gf2_ranks is None:  # a column's targets are distinct, so sum is OR
         c.gf2_ranks = {
             key: gf2_rank([sum([1 << i for i, a in col if a & 1]) for col in cols])
@@ -418,14 +408,14 @@ def homology(c: KhComplex) -> KhTable:
             if cols
         }
     ranks = dict(c.gf2_ranks)
-    if c.field == Q:
+    if field == Q:
         gf2_homology = _dimensions(c, ranks)
         for (t, q), rank in c.gf2_ranks.items():
             if (t, q) in gf2_homology and (t + 1, q) in gf2_homology:
                 ranks[t, q] = sparse_integer_rank([dict(col) for col in c.blocks[t, q]])
                 if ranks[t, q] < rank:
                     raise AssertionError(f"Q rank below GF(2) rank at (t={t}, q={q})")
-    return KhTable(c.field, _dimensions(c, ranks))
+    return KhTable(field, _dimensions(c, ranks))
 
 
 def _dimensions(c: KhComplex, ranks: dict) -> dict[tuple[int, int], int]:

@@ -121,8 +121,9 @@ def certify(
     orientable; an explicit request for the rationals on a
     non-orientable atom propagates the error.  Every field is checked
     against its limit before the cube is walked.  The cube is walked
-    once: one GF(2) complex carries the bracket's state counts, and the
-    rational complex takes its skeleton.
+    once, into one complex: over Q when the rationals are requested (its
+    entries mod 2 give the GF(2) table), else over GF(2).  That complex
+    carries the bracket's state counts and every requested table.
     """
     if not is_connected(d):
         raise DiagramError(
@@ -135,9 +136,11 @@ def certify(
         fields = [kh.GF2] + ([kh.Q] if g.orientable else [])
     for name in fields:
         kh.check_field(d, name, max_crossings=max_crossings, atom=atom)
-    complex_ = None
     if fields:
-        complex_ = kh.build_complex(d, None, kh.GF2, max_crossings=max_crossings)
+        over = kh.Q if kh.Q in fields else kh.GF2
+        complex_ = kh.build_complex(
+            d, None, over, max_crossings=max_crossings, atom=atom
+        )
         bracket = bracket_from_counts(d, complex_.state_counts)
     else:
         bracket = kauffman_bracket(d)
@@ -156,12 +159,9 @@ def certify(
         f" -> strict 1-completeness {'holds' if strict else 'fails'}",
     ]
 
-    tables = {}
-    if kh.GF2 in fields:
-        tables[kh.GF2] = kh.homology(complex_)
-    if kh.Q in fields:
-        complex_ = kh.rational_complex(complex_)  # the GF(2) blocks go here
-        tables[kh.Q] = kh.homology(complex_)
+    tables = {
+        name: kh.homology(complex_, name) for name in (kh.GF2, kh.Q) if name in fields
+    }
     if tables:
         _check_tables(tables, bracket, complex_.n_plus - complex_.n_minus, g)
     reports: dict[str, FieldReport] = {}

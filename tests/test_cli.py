@@ -294,8 +294,8 @@ def test_broken_invariant_is_a_one_line_error(capsys, tmp_path, monkeypatch):
 
     real = kh.homology
 
-    def one_more(c):
-        tab = real(c)
+    def one_more(*args):
+        tab = real(*args)
         (key, dim), *_ = tab.entries.items()
         return kh.KhTable(tab.field, {**tab.entries, key: dim + 1})
 
@@ -307,4 +307,35 @@ def test_broken_invariant_is_a_one_line_error(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "batch", str(tmp_path))
     assert code == 1
     assert "trefoil.pd: error: graded Euler characteristic" in out
+    assert "total: 1 files, 0 MINIMAL, 0 INCONCLUSIVE, 1 errors" in out
+
+
+def test_failed_internal_check_is_a_one_line_error(capsys, monkeypatch):
+    import kmc.khovanov as kh
+
+    def fail(c):
+        raise AssertionError("differential does not square to zero at (t=0, q=1)")
+
+    monkeypatch.setattr(kh, "_assert_d_squared_zero", fail)
+    for argv in (["certify"], ["certify", "--fields", "gf2"], ["kh", "--field", "q"]):
+        code, out, err = run(capsys, argv[0], str(FIXTURES / "trefoil.pd"), *argv[1:])
+        assert_one_line_error(code, err)
+        assert "square to zero" in err and out == ""
+
+
+def test_out_of_memory_is_a_one_line_error(capsys, tmp_path, monkeypatch):
+    import kmc.khovanov as kh
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(kh, "_skeleton", exhausted)
+    for argv in (["certify"], ["kh"]):
+        code, out, err = run(capsys, argv[0], str(FIXTURES / "trefoil.pd"), *argv[1:])
+        assert_one_line_error(code, err)
+        assert err == "kmc: out of memory\n" and out == ""
+    (tmp_path / "trefoil.pd").write_text((FIXTURES / "trefoil.pd").read_text())
+    code, out, err = run(capsys, "batch", str(tmp_path))
+    assert code == 1
+    assert "trefoil.pd: error: out of memory" in out
     assert "total: 1 files, 0 MINIMAL, 0 INCONCLUSIVE, 1 errors" in out

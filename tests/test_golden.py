@@ -1,7 +1,7 @@
 """Byte-for-byte CLI output on every fixture.
 
 tests/golden/ holds the stdout of bracket, atom, kh (both fields), k1
-and certify, in text and --json, for every diagram fixture, with the
+and certify (default fields, gf2 alone and q alone), in text and --json, for every diagram fixture, with the
 exit codes in tests/golden/index.json.  Re-record (only when an output
 change is intended and explained) with
 
@@ -27,6 +27,8 @@ COMMANDS = (
     ("kh", "--field", "q"),
     ("k1",),
     ("certify",),
+    ("certify", "--fields", "gf2"),
+    ("certify", "--fields", "q"),
 )
 
 

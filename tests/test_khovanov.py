@@ -25,7 +25,6 @@ from kmc.khovanov import (
     kh_table,
     load_table,
     q_span,
-    rational_complex,
     thickness,
 )
 from kmc.laurent import Laurent
@@ -314,7 +313,7 @@ def test_d_squared_checks_catch_a_changed_entry(d):
     spot = _entry_with_a_composite(gf2)
     assume(spot is not None)
     key, j, e = spot
-    fields = [gf2] + ([rational_complex(gf2)] if orientable(build_atom(d)) else [])
+    fields = [gf2] + ([build_complex(d, None, Q)] if orientable(build_atom(d)) else [])
     for c in fields:
         dropped = copy.deepcopy(c)
         del dropped.blocks[key][j][e]
@@ -330,7 +329,7 @@ def test_d_squared_checks_catch_a_changed_entry(d):
 
 @settings(max_examples=30, deadline=None)
 @given(DIAGRAMS)
-def test_rational_complex_is_the_signed_skeleton(d):
+def test_q_complex_is_the_signed_gf2_complex(d):
     assume(orientable(build_atom(d)))
     gf2, rat = build_complex(d, None, GF2), build_complex(d, None, Q)
     assert rat.bases == gf2.bases
@@ -390,3 +389,55 @@ def test_certify_ranks_each_gf2_block_once(monkeypatch):
     ranked = _count_calls(monkeypatch, "gf2_rank")
     assert set(certify(d).fields) == {GF2, Q}
     assert len(ranked) == nonempty
+
+
+# one complex per certify
+
+
+def _corrupt_skeleton(monkeypatch, change):
+    """Route every skeleton through change(column, entry index) at an
+    entry whose composite d.d sees."""
+    real = kh._skeleton
+
+    def corrupted(*args):
+        c = real(*args)
+        key, j, e = _entry_with_a_composite(c)
+        change(c.blocks[key][j], e)
+        return c
+
+    monkeypatch.setattr(kh, "_skeleton", corrupted)
+
+
+def _drop(col, e):
+    del col[e]
+
+
+def _flip(col, e):
+    i, v = col[e]
+    col[e] = (i, -v)
+
+
+@pytest.mark.parametrize("name", ["trefoil.pd", "figure8.pd", "6_2.pd"])
+@pytest.mark.parametrize("change", [_drop, _flip])
+def test_the_one_integer_pass_catches_a_changed_entry(monkeypatch, name, change):
+    _corrupt_skeleton(monkeypatch, change)
+    with pytest.raises(AssertionError, match="square to zero"):
+        certify(load(name), [GF2, Q])
+    if change is _drop:  # mod 2 a flip is no change
+        with pytest.raises(AssertionError, match="square to zero"):
+            certify(load(name), [GF2])
+
+
+@pytest.mark.parametrize("fields", [None, [GF2, Q], [GF2], [Q]])
+def test_certify_builds_and_checks_one_complex(monkeypatch, fields):
+    built, checked = [], []
+    real_build, real_check = kh.build_complex, kh._assert_d_squared_zero
+    monkeypatch.setattr(kh, "build_complex", lambda *a, **kw: built.append(a) or real_build(*a, **kw))
+    monkeypatch.setattr(kh, "_assert_d_squared_zero", lambda c: checked.append(c.field) or real_check(c))
+    certify(load("6_2.pd"), fields)
+    assert len(built) == 1 and checked == [Q if fields is None or Q in fields else GF2]
+
+
+def test_q_table_needs_a_complex_over_q():
+    with pytest.raises(UnsupportedFieldError):
+        kh.homology(build_complex(load("trefoil.pd"), None, GF2), Q)

@@ -221,7 +221,7 @@ def _patched_tables(monkeypatch, change):
     import kmc.khovanov as kh
 
     real = kh.homology
-    monkeypatch.setattr(kh, "homology", lambda c: change(real(c)))
+    monkeypatch.setattr(kh, "homology", lambda *args: change(real(*args)))
 
 
 def test_invariant_euler_characteristic(monkeypatch):
