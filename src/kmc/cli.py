@@ -308,6 +308,8 @@ def _parse_fields(raw: str | None) -> list[str] | None:
     if raw is None:
         return None
     fields = [f.strip() for f in raw.split(",") if f.strip()]
+    if not fields:
+        raise KmcError("no field in --fields (expected gf2, q or both)")
     for f in fields:
         if f not in (kh.GF2, kh.Q):
             raise KmcError(f"unknown field {f!r} (expected gf2 or q)")

@@ -36,7 +36,8 @@ arXiv:math/0405474).  This needs d.d = 0 over Q, for im in ker, and
 over GF(2), for the GF(2) table to be homology.  One integer check gives
 both: the GF(2) blocks are the Q blocks reduced mod 2, entry for entry,
 so d.d = 0 over Z reduces to d.d = 0 mod 2.  A complex built over GF(2)
-alone keeps its own XOR check.
+alone is checked by XOR in the pass that ranks its blocks: each block's
+columns become bitsets once, are ranked, and check the block before.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import atom as atom_mod
-from .diagram import Diagram, Orientation, crossing_signs, orient
+from .diagram import Diagram, crossing_signs, orient
 from .errors import LimitError, TableError, UnsupportedFieldError, resolve_limit
 from .laurent import Laurent
 from .linalg import gf2_rank, sparse_integer_rank
@@ -100,8 +101,8 @@ class KhComplex:
     # cube edges that re-glue one circle to itself (zero maps, GF(2) only)
     zero_edges: int
     # (t, q) -> GF(2) rank of the nonempty block leaving (t, q) reduced
-    # mod 2; filled by the first ``homology`` call
-    gf2_ranks: dict[tuple[int, int], int] | None = None
+    # mod 2; filled by ``build_complex``
+    gf2_ranks: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def total_dimension(self) -> int:
         return sum(len(b) for b in self.bases.values())
@@ -151,9 +152,11 @@ class KhTable:
         entries: dict[tuple[int, int], int] = {}
         for item in data["entries"]:
             try:
-                t, q, dim = int(item["t"]), int(item["q"]), int(item["dim"])
-            except (KeyError, TypeError, ValueError) as exc:
+                t, q, dim = item["t"], item["q"], item["dim"]
+            except (KeyError, TypeError) as exc:
                 raise TableError(f"bad table entry {item!r}") from exc
+            if not all(type(v) is int for v in (t, q, dim)):  # bool is no JSON integer
+                raise TableError(f"bad table entry {item!r}: t, q and dim must be integers")
             if dim <= 0:
                 raise TableError(f"non-positive dimension in entry {item!r}")
             key = (t, q)
@@ -227,32 +230,30 @@ def check_field(
 
 def build_complex(
     d: Diagram,
-    o: Orientation | None = None,
     field: str = GF2,
     *,
     max_crossings: int | None = None,
-    check: bool = True,
     atom: atom_mod.Atom | None = None,
 ) -> KhComplex:
-    """Build the cube complex of d over GF(2) or Q.
+    """Build the cube complex of d over GF(2) or Q, check d.d = 0 and
+    rank every block over GF(2).
 
     Rational coefficients require an orientable atom (pass d's atom when
-    it is at hand, as for ``check_field``).  A complex over Q carries
-    both tables (see ``homology``).  With check=True (the default) d.d = 0
-    is verified over the complex's own field, which for Q implies it over
-    GF(2), and an AssertionError raised on failure; with check=False the
-    ranks of ``homology`` assume it.
+    it is at hand, as for ``check_field``).  Over Q, d.d = 0 is checked
+    by exact integer sums, which implies it mod 2; over GF(2), by XOR in
+    the pass that ranks the blocks.  A failed check raises an
+    AssertionError.  The GF(2) ranks are kept in gf2_ranks, so a complex
+    over Q carries both tables (see ``homology``).
     """
     check_field(d, field, max_crossings=max_crossings, atom=atom)
-    if o is None:
-        o = orient(d)
-    complex_ = _skeleton(d, *crossing_signs(d, o), field)
-    if field == Q and complex_.zero_edges:
-        # impossible for orientable atoms; a trip here means the
-        # orientability test and the cube disagree
-        raise AssertionError("single-cycle event in a rational complex")
-    if check:
+    complex_ = _skeleton(d, *crossing_signs(d, orient(d)), field)
+    if field == Q:
+        if complex_.zero_edges:
+            # impossible for orientable atoms; a trip here means the
+            # orientability test and the cube disagree
+            raise AssertionError("single-cycle event in a rational complex")
         _assert_d_squared_zero(complex_)
+    complex_.gf2_ranks = _gf2_pass(complex_)
     return complex_
 
 
@@ -355,58 +356,64 @@ def _skeleton(d: Diagram, n_plus: int, n_minus: int, field: str) -> KhComplex:
 
 
 def _assert_d_squared_zero(c: KhComplex) -> None:
-    """d.d = 0 block by block: over GF(2) by XOR of the next block's
-    columns as bitsets, over Q by exact integer accumulation."""
+    """d.d = 0 over the integers, block by block, by exact accumulation
+    along every path of length two."""
     for (t, q), cols in c.blocks.items():
         nxt = c.blocks.get((t + 1, q))
         if not nxt:
             continue
+        for col in cols:
+            sums: dict[int, int] = {}
+            for i, a in col:
+                for j, b in nxt[i]:
+                    sums[j] = sums.get(j, 0) + a * b
+            if any(sums.values()):
+                raise AssertionError(
+                    f"differential does not square to zero at (t={t}, q={q})"
+                )
+
+
+def _gf2_pass(c: KhComplex) -> dict[tuple[int, int], int]:
+    """The GF(2) rank of every nonempty block, its +-1 entries read as 1.
+
+    Each block's columns become bitsets once (a column's targets are
+    distinct, so the sum is an OR) and are ranked as rows: transposition
+    preserves rank.  On a complex over GF(2) the same bitsets check
+    d.d = 0: every column of the block before must XOR its targets'
+    bitsets to zero.  Over Q the integer check has already shown that.
+    """
+    ranks: dict[tuple[int, int], int] = {}
+    for (t, q), cols in c.blocks.items():
+        if not cols:
+            continue
+        bits = [sum([1 << i for i, _ in col]) for col in cols]
         if c.field == GF2:
-            bits = [sum([1 << i for i, _ in col]) for col in nxt]
-            for col in cols:
+            for col in c.blocks.get((t - 1, q), ()):
                 acc = 0
                 for i, _ in col:
                     acc ^= bits[i]
                 if acc:
-                    break
-            else:
-                continue
-        else:
-            for col in cols:
-                sums: dict[int, int] = {}
-                for i, a in col:
-                    for j, b in nxt[i]:
-                        sums[j] = sums.get(j, 0) + a * b
-                if any(sums.values()):
-                    break
-            else:
-                continue
-        raise AssertionError(
-            f"differential does not square to zero at (t={t}, q={q})"
-        )
+                    raise AssertionError(
+                        f"differential does not square to zero at (t={t - 1}, q={q})"
+                    )
+        ranks[t, q] = gf2_rank(bits)
+        del bits  # else it lives on while the next block's bitsets are built
+    return ranks
 
 
 def homology(c: KhComplex, field: str | None = None) -> KhTable:
     """Per-(t, q) dimensions over field (default c.field) via
     rank-nullity on the graded blocks.
 
-    GF(2) ranks come from any complex, its entries read mod 2; each
-    block's GF(2) rank is computed once and kept in c.gf2_ranks (columns
-    work as rows: transposition preserves rank).  Q ranks need a complex
-    built over Q.  There only a block with nonzero GF(2) homology at both
-    ends is eliminated; the rest take their GF(2) rank, by the lemma in
-    the module docstring.  An eliminated rank below its GF(2) rank
-    raises an AssertionError.
+    GF(2) ranks come from any complex: ``build_complex`` keeps them in
+    c.gf2_ranks.  Q ranks need a complex built over Q.  There only a
+    block with nonzero GF(2) homology at both ends is eliminated; the
+    rest take their GF(2) rank, by the lemma in the module docstring.
+    An eliminated rank below its GF(2) rank raises an AssertionError.
     """
     field = field or c.field
     if field not in (GF2, Q) or (field == Q and c.field != Q):
         raise UnsupportedFieldError(f"no {field} table from a complex over {c.field}")
-    if c.gf2_ranks is None:  # a column's targets are distinct, so sum is OR
-        c.gf2_ranks = {
-            key: gf2_rank([sum([1 << i for i, a in col if a & 1]) for col in cols])
-            for key, cols in c.blocks.items()
-            if cols
-        }
     ranks = dict(c.gf2_ranks)
     if field == Q:
         gf2_homology = _dimensions(c, ranks)
@@ -429,16 +436,9 @@ def _dimensions(c: KhComplex, ranks: dict) -> dict[tuple[int, int], int]:
     return entries
 
 
-def kh_table(
-    d: Diagram,
-    field: str = GF2,
-    *,
-    max_crossings: int | None = None,
-    check: bool = True,
-) -> KhTable:
-    """Homology of d over field; with check=False the rational ranks
-    assume d.d = 0 (see ``build_complex``)."""
-    return homology(build_complex(d, None, field, max_crossings=max_crossings, check=check))
+def kh_table(d: Diagram, field: str = GF2, *, max_crossings: int | None = None) -> KhTable:
+    """Homology of d over field, from one checked complex."""
+    return homology(build_complex(d, field, max_crossings=max_crossings))
 
 
 def thickness(tab: KhTable) -> Fraction:

@@ -21,9 +21,9 @@ from fractions import Fraction
 from . import khovanov as kh
 from .atom import GenusValue, build_atom, genus as atom_genus
 from .diagram import Diagram, is_connected
-from .errors import DiagramError, InvariantError, TableError
+from .errors import DiagramError, InvariantError, TableError, UnsupportedFieldError
 from .laurent import LOOP, Laurent
-from .statesum import bracket_completeness, bracket_from_counts, kauffman_bracket
+from .statesum import bracket_completeness, bracket_from_counts
 
 __all__ = ["FieldReport", "Certificate", "certify", "certify_from_table"]
 
@@ -79,7 +79,7 @@ class Certificate:
     strict_1_complete: bool | None
     broad_1_complete: bool
     two_complete: bool
-    thickness: Fraction | None
+    thickness: Fraction
     fields: dict[str, FieldReport] = field(default_factory=dict)
     reasoning: tuple[str, ...] = ()
 
@@ -89,7 +89,6 @@ class Certificate:
         return MINIMAL if one_complete and self.two_complete else INCONCLUSIVE
 
     def to_json_dict(self) -> dict:
-        thick = self.thickness
         return {
             "schema": 1,
             "n": self.n,
@@ -102,7 +101,7 @@ class Certificate:
             "strict_1_complete": self.strict_1_complete,
             "broad_1_complete": self.broad_1_complete,
             "two_complete": self.two_complete,
-            "thickness": None if thick is None else kh.json_number(thick),
+            "thickness": kh.json_number(self.thickness),
             "fields": {name: rep.to_json_dict() for name, rep in self.fields.items()},
             "verdict": self.verdict,
             "reasoning": list(self.reasoning),
@@ -118,12 +117,13 @@ def certify(
     """Run the full pipeline on a connected diagram.
 
     fields defaults to GF(2) plus the rationals when the atom is
-    orientable; an explicit request for the rationals on a
-    non-orientable atom propagates the error.  Every field is checked
-    against its limit before the cube is walked.  The cube is walked
-    once, into one complex: over Q when the rationals are requested (its
-    entries mod 2 give the GF(2) table), else over GF(2).  That complex
-    carries the bracket's state counts and every requested table.
+    orientable; an empty list, or an explicit request for the rationals
+    on a non-orientable atom, raises UnsupportedFieldError.  Every field
+    is checked against its limit before the cube is walked.  The cube is
+    walked once, into one complex: over Q when the rationals are
+    requested (its entries mod 2 give the GF(2) table), else over GF(2).
+    That complex carries the bracket's state counts and every requested
+    table.
     """
     if not is_connected(d):
         raise DiagramError(
@@ -134,16 +134,13 @@ def certify(
     g = atom_genus(atom)
     if fields is None:
         fields = [kh.GF2] + ([kh.Q] if g.orientable else [])
+    if not fields:
+        raise UnsupportedFieldError("no coefficient field requested")
     for name in fields:
         kh.check_field(d, name, max_crossings=max_crossings, atom=atom)
-    if fields:
-        over = kh.Q if kh.Q in fields else kh.GF2
-        complex_ = kh.build_complex(
-            d, None, over, max_crossings=max_crossings, atom=atom
-        )
-        bracket = bracket_from_counts(d, complex_.state_counts)
-    else:
-        bracket = kauffman_bracket(d)
+    over = kh.Q if kh.Q in fields else kh.GF2
+    complex_ = kh.build_complex(d, over, max_crossings=max_crossings, atom=atom)
+    bracket = bracket_from_counts(d, complex_.state_counts)
     strict, details = bracket_completeness(d, bracket)
     chi = details["chi"]
     if bracket and details["span"] > details["bound"]:
@@ -162,8 +159,7 @@ def certify(
     tables = {
         name: kh.homology(complex_, name) for name in (kh.GF2, kh.Q) if name in fields
     }
-    if tables:
-        _check_tables(tables, bracket, complex_.n_plus - complex_.n_minus, g)
+    _check_tables(tables, bracket, complex_.n_plus - complex_.n_minus, g)
     reports: dict[str, FieldReport] = {}
     for name in fields:
         table = tables[name]
@@ -184,7 +180,7 @@ def certify(
 
     broad_any = any(rep.broad_1_complete for rep in reports.values())
     two_any = any(rep.two_complete for rep in reports.values())
-    thickness = max((rep.thickness for rep in reports.values()), default=None)
+    thickness = max(rep.thickness for rep in reports.values())
 
     cert = Certificate(
         n=d.n,

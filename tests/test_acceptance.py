@@ -193,11 +193,11 @@ def test_criterion_7_virtual_trefoil_anchors():
     g = genus(atom)
     ok = atom.chi == 1 and not g.orientable and g.value == Fraction(1, 2)
     try:
-        build_complex(d, None, Q)
+        build_complex(d, Q)
         ok = False
     except UnsupportedFieldError:
         pass
-    build_complex(d, None, GF2, check=True)  # d^2 = 0 asserted inside
+    build_complex(d, GF2)  # d^2 = 0 asserted inside
     crit.finish(ok)
 
 

@@ -212,6 +212,18 @@ def test_certify_table_needs_field_choice_for_multi_field_json(capsys, tmp_path)
     assert "verdict: MINIMAL" in out
 
 
+def test_empty_field_list_is_an_error(capsys, tmp_path):
+    (tmp_path / "trefoil.pd").write_text((FIXTURES / "trefoil.pd").read_text())
+    for argv in (
+        ["certify", str(tmp_path / "trefoil.pd"), "--fields", ","],
+        ["certify", str(tmp_path / "trefoil.pd"), "--fields", ""],
+        ["batch", str(tmp_path), "--fields", ""],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert_one_line_error(code, err)
+        assert "no field" in err and out == ""
+
+
 def test_batch_field_error_counts_as_error(capsys, tmp_path):
     (tmp_path / "vt.gauss").write_text(
         (FIXTURES / "virtual_trefoil.gauss").read_text()
@@ -258,6 +270,24 @@ def test_certify_table_invalid_json(capsys, tmp_path):
     code, out, err = run(capsys, "certify-table", str(p), "--n", "3")
     assert_one_line_error(code, err)
     assert "not valid JSON" in err
+
+
+def test_certify_table_rejects_non_integer_values(capsys, tmp_path):
+    p = tmp_path / "table.json"
+    p.write_text(
+        '{"field": "q", "entries": [{"t": 0.7, "q": 1.9, "dim": 1},'
+        ' {"t": 0, "q": -1, "dim": 1.5}]}'
+    )
+    code, out, err = run(capsys, "certify-table", str(p), "--n", "0")
+    assert_one_line_error(code, err)
+    assert "0.7" in err and out == ""
+    for value in (True, "3", 1.5):
+        for key in ("t", "q", "dim"):
+            entry = {"t": 0, "q": 1, "dim": 1, key: value}
+            p.write_text(json.dumps({"field": "q", "entries": [entry, {"t": 0, "q": -1, "dim": 1}]}))
+            code, out, err = run(capsys, "certify-table", str(p), "--n", "0")
+            assert_one_line_error(code, err)
+            assert "must be integers" in err and out == ""
 
 
 def test_certify_table_json_of_the_wrong_shape(capsys, tmp_path):
@@ -316,7 +346,9 @@ def test_failed_internal_check_is_a_one_line_error(capsys, monkeypatch):
     def fail(c):
         raise AssertionError("differential does not square to zero at (t=0, q=1)")
 
+    # the integer pass checks Q builds, the GF(2) pass GF(2) builds
     monkeypatch.setattr(kh, "_assert_d_squared_zero", fail)
+    monkeypatch.setattr(kh, "_gf2_pass", fail)
     for argv in (["certify"], ["certify", "--fields", "gf2"], ["kh", "--field", "q"]):
         code, out, err = run(capsys, argv[0], str(FIXTURES / "trefoil.pd"), *argv[1:])
         assert_one_line_error(code, err)

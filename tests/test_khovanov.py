@@ -19,6 +19,7 @@ from kmc.khovanov import (
     Q,
     broad_1_complete,
     _assert_d_squared_zero,
+    _gf2_pass,
     build_complex,
     graded_euler_characteristic,
     is_2_complete,
@@ -91,7 +92,7 @@ def test_figure8_table():
 
 def test_total_chain_dimension():
     d = load("trefoil.pd")
-    c = build_complex(d, None, Q)
+    c = build_complex(d, Q)
     from kmc.statesum import circles_of_state
 
     expected = sum(2 ** circles_of_state(d, s) for s in range(8))
@@ -100,7 +101,7 @@ def test_total_chain_dimension():
 
 def test_virtual_trefoil_gf2():
     d = parse_gauss("O1+ O2+ U1+ U2+")
-    build_complex(d, None, GF2, check=True)  # d^2 = 0 asserted inside
+    build_complex(d, GF2)  # d^2 = 0 asserted inside
     tab = kh_table(d, GF2)
     assert tab.entries == VIRTUAL_TREFOIL_KH_GF2
     assert thickness(tab) == Fraction(5, 2)
@@ -109,7 +110,7 @@ def test_virtual_trefoil_gf2():
 
 def test_virtual_trefoil_rejects_rationals():
     with pytest.raises(UnsupportedFieldError):
-        build_complex(parse_gauss("O1+ O2+ U1+ U2+"), None, Q)
+        build_complex(parse_gauss("O1+ O2+ U1+ U2+"), Q)
 
 
 def test_rationals_allowed_for_orientable_virtual():
@@ -285,7 +286,7 @@ def test_chain_dimensions_are_binomial_sums(d):
         for j in range(k + 1):
             key = (r - n_minus, r + n_plus - 2 * n_minus - k + 2 * j)
             expected[key] = expected.get(key, 0) + comb(k, j)
-    c = build_complex(d, None, GF2)
+    c = build_complex(d, GF2)
     assert {key: len(basis) for key, basis in c.bases.items()} == expected
     assert sum(c.state_counts.values()) == 2**d.n
     # each column lists distinct targets in increasing order
@@ -309,16 +310,16 @@ def _entry_with_a_composite(c):
 @settings(max_examples=30, deadline=None)
 @given(DIAGRAMS)
 def test_d_squared_checks_catch_a_changed_entry(d):
-    gf2 = build_complex(d, None, GF2)
+    gf2 = build_complex(d, GF2)
     spot = _entry_with_a_composite(gf2)
     assume(spot is not None)
     key, j, e = spot
-    fields = [gf2] + ([build_complex(d, None, Q)] if orientable(build_atom(d)) else [])
-    for c in fields:
+    fields = [gf2] + ([build_complex(d, Q)] if orientable(build_atom(d)) else [])
+    for c, check in zip(fields, [_gf2_pass, _assert_d_squared_zero]):
         dropped = copy.deepcopy(c)
         del dropped.blocks[key][j][e]
         with pytest.raises(AssertionError, match="square to zero"):
-            _assert_d_squared_zero(dropped)
+            check(dropped)
     if len(fields) == 2:  # signs exist over Q only; mod 2 a flip is no change
         flipped = copy.deepcopy(fields[1])
         i, v = flipped.blocks[key][j][e]
@@ -331,7 +332,7 @@ def test_d_squared_checks_catch_a_changed_entry(d):
 @given(DIAGRAMS)
 def test_q_complex_is_the_signed_gf2_complex(d):
     assume(orientable(build_atom(d)))
-    gf2, rat = build_complex(d, None, GF2), build_complex(d, None, Q)
+    gf2, rat = build_complex(d, GF2), build_complex(d, Q)
     assert rat.bases == gf2.bases
     for key, cols in gf2.blocks.items():
         assert [[(i, abs(v)) for i, v in col] for col in rat.blocks[key]] == cols
@@ -344,7 +345,7 @@ def test_q_complex_is_the_signed_gf2_complex(d):
 def full_elimination_table(d):
     """The rational table with every block eliminated exactly: the
     reference for the ranks that homology takes from GF(2)."""
-    c = build_complex(d, None, Q)
+    c = build_complex(d, Q)
     ranks = {key: sparse_integer_rank([dict(col) for col in cols]) for key, cols in c.blocks.items()}
     entries = {}
     for (t, q), basis in c.bases.items():
@@ -384,11 +385,34 @@ def test_eliminated_rank_below_gf2_rank_is_an_error(monkeypatch):
 
 
 def test_certify_ranks_each_gf2_block_once(monkeypatch):
+    """One gf2_rank call per nonempty block, all inside build_complex and
+    none in homology, whichever fields are asked for."""
     d = load("6_2.pd")
-    nonempty = sum(1 for cols in build_complex(d, None, GF2).blocks.values() if cols)
-    ranked = _count_calls(monkeypatch, "gf2_rank")
-    assert set(certify(d).fields) == {GF2, Q}
-    assert len(ranked) == nonempty
+    nonempty = sum(1 for cols in build_complex(d, GF2).blocks.values() if cols)
+    inside, ranked = [], []
+
+    def within(name):
+        real = getattr(kh, name)
+
+        def wrapper(*args, **kwargs):
+            inside.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(kh, name, wrapper)
+
+    within("build_complex")
+    within("homology")
+    real_rank = kh.gf2_rank
+    monkeypatch.setattr(kh, "gf2_rank", lambda rows: ranked.append(inside[-1]) or real_rank(rows))
+    runs = [lambda: certify(d), lambda: certify(d, [GF2]), lambda: certify(d, [Q])]
+    runs += [lambda: kh_table(d, GF2), lambda: kh_table(d, Q)]
+    for run in runs:
+        ranked.clear()
+        run()
+        assert ranked == ["build_complex"] * nonempty
 
 
 # one complex per certify
@@ -430,14 +454,32 @@ def test_the_one_integer_pass_catches_a_changed_entry(monkeypatch, name, change)
 
 @pytest.mark.parametrize("fields", [None, [GF2, Q], [GF2], [Q]])
 def test_certify_builds_and_checks_one_complex(monkeypatch, fields):
+    """One build; over Q one integer d.d pass then the GF(2) pass, which
+    does the XOR check only on a complex over GF(2)."""
     built, checked = [], []
-    real_build, real_check = kh.build_complex, kh._assert_d_squared_zero
+    real_build, real_check, real_pass = kh.build_complex, kh._assert_d_squared_zero, kh._gf2_pass
     monkeypatch.setattr(kh, "build_complex", lambda *a, **kw: built.append(a) or real_build(*a, **kw))
-    monkeypatch.setattr(kh, "_assert_d_squared_zero", lambda c: checked.append(c.field) or real_check(c))
+    monkeypatch.setattr(kh, "_assert_d_squared_zero", lambda c: checked.append(("Z", c.field)) or real_check(c))
+    monkeypatch.setattr(kh, "_gf2_pass", lambda c: checked.append(("gf2", c.field)) or real_pass(c))
     certify(load("6_2.pd"), fields)
-    assert len(built) == 1 and checked == [Q if fields is None or Q in fields else GF2]
+    over_q = fields is None or Q in fields
+    assert len(built) == 1
+    assert checked == ([("Z", Q), ("gf2", Q)] if over_q else [("gf2", GF2)])
+
+
+def test_the_xor_pass_catches_a_dropped_entry_on_a_non_orientable_atom(monkeypatch):
+    # Over GF(2) alone the XOR pass is the only d.d check.  The virtual
+    # trefoil gives it nothing to see: its cube has two crossings, and
+    # both paths of length two start with a zero map out of the A-state.
+    # So the mutation runs on the connected sum of two virtual trefoils.
+    d = parse_gauss("O1+ O2+ U1+ U2+ O3+ O4+ U3+ U4+")
+    assert not orientable(build_atom(d))
+    assert _entry_with_a_composite(build_complex(load("virtual_trefoil.gauss"), GF2)) is None
+    _corrupt_skeleton(monkeypatch, _drop)
+    with pytest.raises(AssertionError, match="square to zero"):
+        certify(d, [GF2])
 
 
 def test_q_table_needs_a_complex_over_q():
     with pytest.raises(UnsupportedFieldError):
-        kh.homology(build_complex(load("trefoil.pd"), None, GF2), Q)
+        kh.homology(build_complex(load("trefoil.pd"), GF2), Q)

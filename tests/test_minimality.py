@@ -63,6 +63,17 @@ def test_explicit_rational_request_on_virtual_fails():
         certify(parse_gauss("O1+ O2+ U1+ U2+"), [Q])
 
 
+def test_empty_field_list_is_rejected(monkeypatch):
+    import kmc.statesum
+
+    def no_walk(d):
+        raise AssertionError("the cube was walked")
+
+    monkeypatch.setattr(kmc.statesum, "_walker", no_walk)
+    with pytest.raises(UnsupportedFieldError, match="no coefficient field"):
+        certify(load("trefoil.pd"), [])
+
+
 def test_disconnected_rejected():
     with pytest.raises(DiagramError):
         certify(Diagram(0, (), 2))
