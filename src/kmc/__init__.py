@@ -1,7 +1,7 @@
 """Kauffman bracket, atoms, Khovanov homology and diagram minimality
 certificates for classical and virtual link diagrams."""
 
-from .atom import Atom, GenusValue, build_atom, euler_characteristic, genus, orientable
+from .atom import Atom, GenusValue, build_atom, genus, orientable
 from .diagram import (
     Diagram,
     Orientation,
@@ -45,14 +45,8 @@ from .khovanov import (
 )
 from .laurent import LOOP, Laurent
 from .minimality import Certificate, FieldReport, certify, certify_from_table
-from .single_circle import (
-    SingleCircleCensus,
-    single_circle_census,
-    single_circle_window,
-)
+from .single_circle import SingleCircleCensus, single_circle_census
 from .statesum import (
-    StateSummary,
-    all_a_b_circles,
     circles_of_state,
     is_1_complete,
     kauffman_bracket,

@@ -32,7 +32,6 @@ __all__ = [
     "Atom",
     "GenusValue",
     "build_atom",
-    "euler_characteristic",
     "orientable",
     "genus",
 ]
@@ -94,13 +93,11 @@ class GenusValue:
         return f"{self.twice_genus}/2"
 
 
-_A_STEP = {0: 1, 1: 0, 2: 3, 3: 2}
-_B_STEP = {0: 3, 3: 0, 1: 2, 2: 1}
-
-
 def _trace_walks(d: Diagram, b_side: bool) -> list[Walk]:
-    """Boundary walks of the white (all-A) or black (all-B) cells."""
-    step = _B_STEP if b_side else _A_STEP
+    """Boundary walks of the white (all-A) or black (all-B) cells: after
+    the arc into port p, the A-smoothing leaves by port p ^ 1 (pairs 0-1,
+    2-3), the B-smoothing by port p ^ 3 (pairs 1-2, 3-0)."""
+    step = 3 if b_side else 1
     walks: list[Walk] = []
     arc_done = [False] * len(d.arcs)
     for i, (p0, _) in enumerate(d.arcs):
@@ -112,8 +109,7 @@ def _trace_walks(d: Diagram, b_side: bool) -> list[Walk]:
             ai = d.arc_index[frm]
             arc_done[ai] = True
             walk.append((ai, frm == d.arcs[ai][0]))
-            arrive = d.partner[frm]
-            frm = 4 * (arrive // 4) + step[arrive % 4]
+            frm = d.partner[frm] ^ step
             if frm == p0:
                 break
         walks.append(tuple(walk))
@@ -179,12 +175,6 @@ def build_atom(d: Diagram) -> Atom:
         component_chis=tuple(comp_chi),
         component_orientable=tuple(comp_orientable),
     )
-
-
-def euler_characteristic(a: Atom) -> int:
-    """a + b - n, the Euler characteristic of the (possibly disconnected)
-    atom surface."""
-    return a.chi
 
 
 def orientable(a: Atom) -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import khovanov as kh
@@ -23,18 +22,7 @@ from .minimality import MINIMAL, certify, certify_from_table
 from .single_circle import single_circle_census
 from .statesum import is_1_complete
 
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: subcommand, inputs, field choice, limits, mode."""
-
-    command: str
-    paths: list[Path]
-    fields: list[str] | None
-    max_crossings: int | None
-    as_json: bool
+__all__ = ["main"]
 
 
 def load_diagram(path: str | Path) -> Diagram:
@@ -70,11 +58,11 @@ def _print_json(data: dict) -> None:
     print(json.dumps(data, indent=2, sort_keys=True))
 
 
-def _cmd_bracket(cfg: RunConfig) -> int:
-    d = load_diagram(cfg.paths[0])
+def _cmd_bracket(args: argparse.Namespace) -> int:
+    d = load_diagram(args.file)
     strict, details = is_1_complete(d)
     poly = details["bracket"]
-    if cfg.as_json:
+    if args.json:
         _print_json(
             {
                 "schema": 1,
@@ -92,11 +80,11 @@ def _cmd_bracket(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_atom(cfg: RunConfig) -> int:
-    d = load_diagram(cfg.paths[0])
+def _cmd_atom(args: argparse.Namespace) -> int:
+    d = load_diagram(args.file)
     atom = build_atom(d)
     g = atom_genus(atom)
-    if cfg.as_json:
+    if args.json:
         _print_json(
             {
                 "schema": 1,
@@ -143,34 +131,33 @@ def _render_table(tab: kh.KhTable) -> str:
     return "\n".join(lines)
 
 
-def _cmd_kh(cfg: RunConfig) -> int:
-    d = load_diagram(cfg.paths[0])
-    field = (cfg.fields or [kh.GF2])[0]
-    table = kh.kh_table(d, field, max_crossings=cfg.max_crossings)
+def _cmd_kh(args: argparse.Namespace) -> int:
+    d = load_diagram(args.file)
+    table = kh.kh_table(d, args.field, max_crossings=args.max_crossings)
     thick = kh.thickness(table)
-    if cfg.as_json:
+    if args.json:
         data = table.to_json_dict()
         data["thickness"] = kh.json_number(thick)
         data["q_span"] = kh.q_span(table)
         _print_json(data)
     else:
-        print(f"field: {field}")
+        print(f"field: {args.field}")
         print(_render_table(table))
         print(f"thickness: {thick}")
         print(f"q-span: {kh.q_span(table)}")
     return 0
 
 
-def _cmd_k1(cfg: RunConfig) -> int:
-    d = load_diagram(cfg.paths[0])
-    census = single_circle_census(d, max_crossings=cfg.max_crossings)
+def _cmd_k1(args: argparse.Namespace) -> int:
+    d = load_diagram(args.file)
+    census = single_circle_census(d, max_crossings=args.max_crossings)
     checks = {
         "within_window": census.within_window,
         "amplitude_bounded": census.is_empty
         or census.amplitude <= 2 - census.chi,
         "parity_consistent": census.parity_consistent,
     }
-    if cfg.as_json:
+    if args.json:
         _print_json(
             {
                 "schema": 1,
@@ -199,23 +186,24 @@ def _print_certificate(cert, as_json: bool) -> None:
             print(line)
 
 
-def _cmd_certify(cfg: RunConfig) -> int:
-    d = load_diagram(cfg.paths[0])
-    cert = certify(d, cfg.fields, max_crossings=cfg.max_crossings)
-    _print_certificate(cert, cfg.as_json)
+def _cmd_certify(args: argparse.Namespace) -> int:
+    fields = _parse_fields(args.fields)
+    d = load_diagram(args.file)
+    cert = certify(d, fields, max_crossings=args.max_crossings)
+    _print_certificate(cert, args.json)
     return 0
 
 
-def _cmd_certify_table(cfg: RunConfig, n: int, chi: int | None) -> int:
-    field = cfg.fields[0] if cfg.fields else None
-    table = kh.load_table(cfg.paths[0], field)
-    cert = certify_from_table(table, n, chi)
-    _print_certificate(cert, cfg.as_json)
+def _cmd_certify_table(args: argparse.Namespace) -> int:
+    table = kh.load_table(args.file, args.field)
+    cert = certify_from_table(table, args.n, args.chi)
+    _print_certificate(cert, args.json)
     return 0
 
 
-def _cmd_batch(cfg: RunConfig) -> int:
-    root = cfg.paths[0]
+def _cmd_batch(args: argparse.Namespace) -> int:
+    fields = _parse_fields(args.fields)
+    root = Path(args.directory)
     if not root.is_dir():
         raise KmcError(f"{root} is not a directory")
     files = sorted(
@@ -225,7 +213,7 @@ def _cmd_batch(cfg: RunConfig) -> int:
     for path in files:
         try:
             d = load_diagram(path)
-            cert = certify(d, cfg.fields, max_crossings=cfg.max_crossings)
+            cert = certify(d, fields, max_crossings=args.max_crossings)
             verdict = cert.verdict
         except (KmcError, AssertionError, MemoryError) as exc:
             counts["error"] += 1
@@ -262,19 +250,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bracket", help="Kauffman bracket, span and the span bound")
     p.add_argument("file")
+    p.set_defaults(run=_cmd_bracket)
     add_common(p)
 
     p = sub.add_parser("atom", help="cell counts, Euler characteristic, genus")
     p.add_argument("file")
+    p.set_defaults(run=_cmd_atom)
     add_common(p)
 
     p = sub.add_parser("kh", help="Khovanov homology table")
     p.add_argument("file")
     p.add_argument("--field", choices=[kh.GF2, kh.Q], default=kh.GF2)
+    p.set_defaults(run=_cmd_kh)
     add_common(p)
 
     p = sub.add_parser("k1", help="census of single-circle states")
     p.add_argument("file")
+    p.set_defaults(run=_cmd_k1)
     add_common(p)
 
     p = sub.add_parser("certify", help="minimality certificate for a diagram")
@@ -285,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated coefficient fields (default: gf2, plus q when"
         " the atom is orientable)",
     )
+    p.set_defaults(run=_cmd_certify)
     add_common(p)
 
     p = sub.add_parser(
@@ -294,11 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="crossing count")
     p.add_argument("--chi", type=int, default=None, help="known Euler characteristic")
     p.add_argument("--field", choices=[kh.GF2, kh.Q], default=None)
+    p.set_defaults(run=_cmd_certify_table)
     add_common(p)
 
     p = sub.add_parser("batch", help="certify every diagram file in a directory")
     p.add_argument("directory")
     p.add_argument("--fields", default=None)
+    p.set_defaults(run=_cmd_batch)
     add_common(p)
 
     return parser
@@ -320,35 +315,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "max_crossings", None) is not None and args.max_crossings <= 0:
+        if args.max_crossings is not None and args.max_crossings <= 0:
             parser.error("--max-crossings must be positive")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        path = Path(getattr(args, "file", getattr(args, "directory", ".")))
-        if args.command in ("certify", "batch"):
-            fields = _parse_fields(args.fields)
-        elif args.command in ("kh", "certify-table"):
-            fields = [args.field] if args.field else None
-        else:
-            fields = None
-        cfg = RunConfig(
-            command=args.command,
-            paths=[path],
-            fields=fields,
-            max_crossings=args.max_crossings,
-            as_json=args.json,
-        )
-        if args.command == "certify-table":
-            return _cmd_certify_table(cfg, args.n, args.chi)
-        return {
-            "bracket": _cmd_bracket,
-            "atom": _cmd_atom,
-            "kh": _cmd_kh,
-            "k1": _cmd_k1,
-            "certify": _cmd_certify,
-            "batch": _cmd_batch,
-        }[args.command](cfg)
+        return args.run(args)
     except ParseError as exc:
         print(f"kmc: parse error: {exc}", file=sys.stderr)
         return 1

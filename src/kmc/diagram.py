@@ -372,7 +372,7 @@ def split_components(d: Diagram) -> list[Diagram]:
 
 
 def is_connected(d: Diagram) -> bool:
-    return len(split_components(d)) == 1
+    return crossing_components(d)[1] + d.free_loops == 1
 
 
 # ---------------------------------------------------------------------------

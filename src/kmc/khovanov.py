@@ -20,9 +20,11 @@ The complex is built from one labelled pass over the cube (see
 ``statesum.label_states``), once, for the field asked for.  Every column
 entry is +-1 (unsigned over GF(2)) and every entry of a column has its
 own target, so the GF(2) complex is the rational one reduced mod 2, and
-one complex built over Q serves both tables.  A basis element's position
-in its block is found by arithmetic on its state and mask, and each edge
-maps all masks of its source state through one table.
+one complex built over Q serves both tables.  The basis is not stored:
+a block has one column per basis element, so its length is the chain
+dimension, and an element's position in its block is arithmetic on its
+state and mask.  Each edge maps all masks of its source through one
+table.
 
 Homology is computed per (t, q) block by exact rank computations: GF(2)
 rows as bitsets, rational blocks by integer elimination (unit pivots
@@ -85,27 +87,25 @@ Column = list[tuple[int, int]]
 
 @dataclass
 class KhComplex:
-    """Cube complex of a diagram over one coefficient field."""
+    """Cube complex of a diagram over one coefficient field.
+
+    The basis of C at (t, q), its (state, label mask) pairs by state and
+    then by mask (bit i set: circle i carries v+), is not stored; block
+    (t, q) has one column per element, so its length is dim C(t, q)."""
 
     field: str
-    n: int
     n_plus: int
     n_minus: int
-    # (t, q) -> ordered basis of (state, label mask); mask bit i set
-    # means circle i carries v+ in the state's canonical circle order
-    bases: dict[tuple[int, int], list[tuple[int, int]]]
     # (t, q) -> one column per basis element, mapping into (t+1, q)
     blocks: dict[tuple[int, int], list[Column]]
     # (B-smoothings, circles) -> number of states, the bracket's state sum
     state_counts: dict[tuple[int, int], int]
-    # cube edges that re-glue one circle to itself (zero maps, GF(2) only)
-    zero_edges: int
     # (t, q) -> GF(2) rank of the nonempty block leaving (t, q) reduced
     # mod 2; filled by ``build_complex``
     gf2_ranks: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def total_dimension(self) -> int:
-        return sum(len(b) for b in self.bases.values())
+        return sum(len(b) for b in self.blocks.values())
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ def load_table(path: str | Path, field_hint: str | None = None) -> KhTable:
     block = _single_field_block(data, field_hint) if isinstance(data, dict) else None
     if not isinstance(block, dict):
         raise TableError("no homology table found in JSON data")
-    return KhTable.from_json_dict(block, field_hint or block.get("field"))
+    return KhTable.from_json_dict(block, field_hint)
 
 
 def check_field(
@@ -241,17 +241,13 @@ def build_complex(
     Rational coefficients require an orientable atom (pass d's atom when
     it is at hand, as for ``check_field``).  Over Q, d.d = 0 is checked
     by exact integer sums, which implies it mod 2; over GF(2), by XOR in
-    the pass that ranks the blocks.  A failed check raises an
-    AssertionError.  The GF(2) ranks are kept in gf2_ranks, so a complex
-    over Q carries both tables (see ``homology``).
+    the pass that ranks the blocks.  A failed check, or a single-cycle
+    edge over Q, raises an AssertionError.  The GF(2) ranks are kept in
+    gf2_ranks, so a complex over Q carries both tables (see ``homology``).
     """
     check_field(d, field, max_crossings=max_crossings, atom=atom)
     complex_ = _skeleton(d, *crossing_signs(d, orient(d)), field)
     if field == Q:
-        if complex_.zero_edges:
-            # impossible for orientable atoms; a trip here means the
-            # orientability test and the cube disagree
-            raise AssertionError("single-cycle event in a rational complex")
         _assert_d_squared_zero(complex_)
     complex_.gf2_ranks = _gf2_pass(complex_)
     return complex_
@@ -265,7 +261,8 @@ def _skeleton(d: Diagram, n_plus: int, n_minus: int, field: str) -> KhComplex:
     edge the untouched circles keep their labels under a renumbering,
     tabulated once for all masks of the source.  Over GF(2) every entry
     is (target, 1); over Q the edge from s to s + 2^c takes the sign
-    (-1)^(number of set bits of s below c)."""
+    (-1)^(number of set bits of s below c), and a single-cycle edge
+    raises an AssertionError."""
     n, loops = d.n, d.free_loops
     arc_of = d.arc_index
     labels = label_states(d)
@@ -281,7 +278,7 @@ def _skeleton(d: Diagram, n_plus: int, n_minus: int, field: str) -> KhComplex:
         for rank, m in enumerate(masks):
             rank_in_popcount[m] = rank
 
-    bases: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    sizes: Counter = Counter()  # (t, q) -> basis elements laid so far
     keys = []  # per state, the block of its masks of each popcount
     offsets = []
     counts: Counter = Counter()
@@ -292,11 +289,10 @@ def _skeleton(d: Diagram, n_plus: int, n_minus: int, field: str) -> KhComplex:
         keys.append([(r - n_minus, base_q + 2 * j) for j in range(k + 1)])
         off = []
         for key, masks in zip(keys[s], by_popcount[k]):
-            block = bases.setdefault(key, [])
-            off.append(len(block))
-            block.extend((s, m) for m in masks)
+            off.append(sizes[key])
+            sizes[key] += len(masks)
         offsets.append(off)
-    entry = [(i, 1) for i in range(max(map(len, bases.values())))]
+    entry = [(i, 1) for i in range(max(sizes.values()))]
     where = [
         [entry[off[popcount[m]] + rank_in_popcount[m]] for m in range(1 << k)]
         for off, k in zip(offsets, k_of)
@@ -309,8 +305,7 @@ def _skeleton(d: Diagram, n_plus: int, n_minus: int, field: str) -> KhComplex:
         negative = [(i, -1) for i, _ in entry]
         signed = (where, [[negative[i] for i, _ in to] for to in where])
 
-    blocks: dict[tuple[int, int], list[Column]] = {key: [] for key in bases}
-    zero_edges = 0
+    blocks: dict[tuple[int, int], list[Column]] = {key: [] for key in sizes}
     for s, (label, firsts) in enumerate(labels):
         k = k_of[s]
         cols: list[Column] = [[] for _ in range(1 << k)]
@@ -324,7 +319,10 @@ def _skeleton(d: Diagram, n_plus: int, n_minus: int, field: str) -> KhComplex:
             if x == y:
                 z1, z2 = tgt_label[arc_of[4 * c]], tgt_label[arc_of[4 * c + 1]]
                 if z1 == z2:  # one circle re-glued to itself: the zero map
-                    zero_edges += 1
+                    if field == Q:
+                        # impossible for orientable atoms; a trip here means
+                        # the orientability test and the cube disagree
+                        raise AssertionError("single-cycle event in a rational complex")
                     continue
             # image of the untouched circles' labels, for every mask
             image = [0]
@@ -352,7 +350,7 @@ def _skeleton(d: Diagram, n_plus: int, n_minus: int, field: str) -> KhComplex:
                         col.append(to[image[m]])
         for key, masks in zip(keys[s], by_popcount[k]):
             blocks[key].extend(cols[m] for m in masks)
-    return KhComplex(field, n, n_plus, n_minus, bases, blocks, counts, zero_edges)
+    return KhComplex(field, n_plus, n_minus, blocks, counts)
 
 
 def _assert_d_squared_zero(c: KhComplex) -> None:
@@ -427,8 +425,8 @@ def homology(c: KhComplex, field: str | None = None) -> KhTable:
 
 def _dimensions(c: KhComplex, ranks: dict) -> dict[tuple[int, int], int]:
     entries: dict[tuple[int, int], int] = {}
-    for (t, q), basis in c.bases.items():
-        dim = len(basis) - ranks.get((t, q), 0) - ranks.get((t - 1, q), 0)
+    for (t, q), cols in c.blocks.items():
+        dim = len(cols) - ranks.get((t, q), 0) - ranks.get((t - 1, q), 0)
         if dim < 0:
             raise AssertionError("negative homology dimension")
         if dim:

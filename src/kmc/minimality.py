@@ -117,13 +117,14 @@ def certify(
     """Run the full pipeline on a connected diagram.
 
     fields defaults to GF(2) plus the rationals when the atom is
-    orientable; an empty list, or an explicit request for the rationals
-    on a non-orientable atom, raises UnsupportedFieldError.  Every field
-    is checked against its limit before the cube is walked.  The cube is
-    walked once, into one complex: over Q when the rationals are
-    requested (its entries mod 2 give the GF(2) table), else over GF(2).
-    That complex carries the bracket's state counts and every requested
-    table.
+    orientable; a repeated field counts once.  An empty list, or an
+    explicit request for the rationals on a non-orientable atom, raises
+    UnsupportedFieldError.  Every field is checked against its limit
+    before the cube is walked.  The cube is walked once, into one
+    complex: over Q when the rationals are requested (its entries mod 2
+    give the GF(2) table), else over GF(2).  That complex carries the
+    bracket's state counts and every requested table; a, b and chi come
+    from the atom.
     """
     if not is_connected(d):
         raise DiagramError(
@@ -134,6 +135,7 @@ def certify(
     g = atom_genus(atom)
     if fields is None:
         fields = [kh.GF2] + ([kh.Q] if g.orientable else [])
+    fields = list(dict.fromkeys(fields))
     if not fields:
         raise UnsupportedFieldError("no coefficient field requested")
     for name in fields:
@@ -141,8 +143,8 @@ def certify(
     over = kh.Q if kh.Q in fields else kh.GF2
     complex_ = kh.build_complex(d, over, max_crossings=max_crossings, atom=atom)
     bracket = bracket_from_counts(d, complex_.state_counts)
-    strict, details = bracket_completeness(d, bracket)
-    chi = details["chi"]
+    chi = atom.chi
+    strict, details = bracket_completeness(d, bracket, chi)
     if bracket and details["span"] > details["bound"]:
         raise InvariantError(
             f"bracket span {details['span']} above 4n + 2(chi - 2) = {details['bound']}"

@@ -2,8 +2,9 @@
 
 These states carry the spanning-tree-style generators of the Khovanov
 complex, so their B-smoothing counts locate its diagonals.  For a
-diagram whose all-A state has x circles and all-B state has y circles,
-every single-circle state s satisfies
+diagram whose all-A state has x circles and all-B state has y circles
+(the white and black cells of its atom), every single-circle state s
+satisfies
 
     x - 1 <= b_count(s) <= n + 1 - y
 
@@ -18,21 +19,24 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
+from .atom import build_atom
 from .diagram import Diagram
 from .errors import LimitError, resolve_limit
-from .statesum import StateSummary, all_a_b_circles, circle_counts
+from .statesum import circle_counts
 
-__all__ = ["SingleCircleCensus", "single_circle_census", "single_circle_window"]
+__all__ = ["SingleCircleCensus", "single_circle_census"]
 
 DEFAULT_MAX_CENSUS = 24
 
 
 @dataclass(frozen=True)
 class SingleCircleCensus:
-    """All states with exactly one circle, plus the window they must hit."""
+    """All states with exactly one circle (as state bitmasks, whose
+    popcounts are their B-smoothing counts), plus the window they must
+    hit."""
 
     n: int
-    states: tuple[StateSummary, ...]
+    states: tuple[int, ...]
     window: tuple[int, int]
     chi: int
 
@@ -42,7 +46,7 @@ class SingleCircleCensus:
 
     @cached_property
     def b_values(self) -> tuple[int, ...]:
-        return tuple(sorted({s.b_count for s in self.states}))
+        return tuple(sorted({s.bit_count() for s in self.states}))
 
     @property
     def b_min(self) -> int:
@@ -66,26 +70,17 @@ class SingleCircleCensus:
         return all(lo <= b <= hi for b in self.b_values)
 
     def b_histogram(self) -> dict[int, int]:
-        return dict(sorted(Counter(s.b_count for s in self.states).items()))
-
-
-def single_circle_window(d: Diagram) -> tuple[int, int]:
-    """(x - 1, n + 1 - y) with x, y the all-A and all-B circle counts."""
-    x, y = all_a_b_circles(d)
-    return x - 1, d.n + 1 - y
+        return dict(sorted(Counter(s.bit_count() for s in self.states).items()))
 
 
 def single_circle_census(
     d: Diagram, *, max_crossings: int | None = None
 ) -> SingleCircleCensus:
-    """One counting pass over all 2^n states, filtered to one circle."""
+    """One counting pass over all 2^n states, filtered to one circle; the
+    window and chi come from the atom."""
     limit = resolve_limit(max_crossings, DEFAULT_MAX_CENSUS)
     if d.n > limit:
         raise LimitError(f"diagram has {d.n} crossings; census limit is {limit}")
-    found = [
-        StateSummary(state, 1, state.bit_count())
-        for state, circles in enumerate(circle_counts(d))
-        if circles == 1
-    ]
-    x, y = all_a_b_circles(d)
-    return SingleCircleCensus(d.n, tuple(found), (x - 1, d.n + 1 - y), x + y - d.n)
+    found = tuple(s for s, circles in enumerate(circle_counts(d)) if circles == 1)
+    atom = build_atom(d)
+    return SingleCircleCensus(d.n, found, (atom.a - 1, d.n + 1 - atom.b), atom.chi)

@@ -20,33 +20,22 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 
+from .atom import build_atom
 from .diagram import Diagram
 from .laurent import LOOP, Laurent
 
 __all__ = [
-    "StateSummary",
     "circles_of_state",
     "state_circles",
     "label_states",
     "circle_counts",
-    "all_a_b_circles",
     "bracket_from_counts",
     "kauffman_bracket",
     "span_bound",
     "bracket_completeness",
     "is_1_complete",
 ]
-
-
-@dataclass(frozen=True)
-class StateSummary:
-    """One Kauffman state: its bitmask, circle count and B-smoothing count."""
-
-    state: int
-    circles: int
-    b_count: int
 
 
 def _walker(d: Diagram):
@@ -117,11 +106,6 @@ def circle_counts(d: Diagram) -> Iterator[int]:
         yield len(walk(state)[1]) + d.free_loops
 
 
-def all_a_b_circles(d: Diagram) -> tuple[int, int]:
-    """Circle counts of the all-A and all-B states (free loops included)."""
-    return circles_of_state(d, 0), circles_of_state(d, (1 << d.n) - 1)
-
-
 def bracket_from_counts(d: Diagram, counts: dict[tuple[int, int], int]) -> Laurent:
     """The bracket from a (B-smoothings, circles) histogram of the states."""
     total = Laurent.zero()
@@ -142,23 +126,20 @@ def span_bound(d: Diagram, chi: int) -> int:
     return 4 * d.n + 2 * (chi - 2)
 
 
-def bracket_completeness(d: Diagram, bracket: Laurent) -> tuple[bool, dict]:
-    """Whether the span of the given bracket of d attains 4n + 2(chi - 2).
+def bracket_completeness(d: Diagram, bracket: Laurent, chi: int) -> tuple[bool, dict]:
+    """Whether the span of the given bracket of d attains 4n + 2(chi - 2),
+    with chi the Euler characteristic of d's atom.
 
     Returns the verdict and the numbers that went into it, the bracket
-    included.  chi is the Euler characteristic of the atom, a + b - n,
-    where a and b are the all-A and all-B circle counts.
+    included.
     """
-    a, b = all_a_b_circles(d)
-    chi = a + b - d.n
     span = bracket.span() if bracket else None
     bound = span_bound(d, chi)
-    details = {"span": span, "bound": bound, "n": d.n, "chi": chi, "a": a, "b": b}
-    details["bracket"] = bracket
+    details = {"span": span, "bound": bound, "n": d.n, "chi": chi, "bracket": bracket}
     return span == bound, details
 
 
 def is_1_complete(d: Diagram) -> tuple[bool, dict]:
     """Whether the bracket span attains 4n + 2(chi - 2); see
     ``bracket_completeness``."""
-    return bracket_completeness(d, kauffman_bracket(d))
+    return bracket_completeness(d, kauffman_bracket(d), build_atom(d).chi)

@@ -224,6 +224,15 @@ def test_empty_field_list_is_an_error(capsys, tmp_path):
         assert "no field" in err and out == ""
 
 
+def test_repeated_fields_print_once(capsys):
+    trefoil = str(FIXTURES / "trefoil.pd")
+    for repeated, once in (("gf2,gf2", "gf2"), ("q,gf2,q", "q,gf2")):
+        for mode in ([], ["--json"]):
+            got = run(capsys, "certify", trefoil, "--fields", repeated, *mode)
+            assert got == run(capsys, "certify", trefoil, "--fields", once, *mode)
+            assert got[0] == 0
+
+
 def test_batch_field_error_counts_as_error(capsys, tmp_path):
     (tmp_path / "vt.gauss").write_text(
         (FIXTURES / "virtual_trefoil.gauss").read_text()

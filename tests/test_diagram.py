@@ -233,9 +233,11 @@ def test_split_components():
     d = load("hopf.pd")
     assert is_connected(d)
     assert len(split_components(d)) == 1
-    two = Diagram(0, (), 2)
-    assert len(split_components(two)) == 2
-    assert not is_connected(two)
+    t = load("trefoil.pd")
+    beside = tuple((p + 4 * t.n, q + 4 * t.n) for p, q in d.arcs)
+    for two in (Diagram(0, (), 2), Diagram(t.n, t.arcs, 1), Diagram(t.n + d.n, t.arcs + beside)):
+        assert len(split_components(two)) == 2
+        assert not is_connected(two)
 
 
 def test_random_classical_connected():

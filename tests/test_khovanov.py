@@ -113,6 +113,14 @@ def test_virtual_trefoil_rejects_rationals():
         build_complex(parse_gauss("O1+ O2+ U1+ U2+"), Q)
 
 
+def test_rational_skeleton_refuses_a_single_cycle_edge():
+    # past the orientability test, the cube itself refuses a zero map over Q
+    d = parse_gauss("O1+ O2+ U1+ U2+")
+    with pytest.raises(AssertionError, match="single-cycle event"):
+        kh._skeleton(d, *crossing_signs(d, orient(d)), Q)
+    kh._skeleton(d, *crossing_signs(d, orient(d)), GF2)
+
+
 def test_rationals_allowed_for_orientable_virtual():
     # virtualized classical diagrams are genuinely virtual but keep an
     # orientable atom, so rational coefficients stay available
@@ -287,7 +295,8 @@ def test_chain_dimensions_are_binomial_sums(d):
             key = (r - n_minus, r + n_plus - 2 * n_minus - k + 2 * j)
             expected[key] = expected.get(key, 0) + comb(k, j)
     c = build_complex(d, GF2)
-    assert {key: len(basis) for key, basis in c.bases.items()} == expected
+    assert {key: len(cols) for key, cols in c.blocks.items()} == expected
+    assert c.total_dimension() == sum(expected.values())
     assert sum(c.state_counts.values()) == 2**d.n
     # each column lists distinct targets in increasing order
     assert all(
@@ -333,7 +342,7 @@ def test_d_squared_checks_catch_a_changed_entry(d):
 def test_q_complex_is_the_signed_gf2_complex(d):
     assume(orientable(build_atom(d)))
     gf2, rat = build_complex(d, GF2), build_complex(d, Q)
-    assert rat.bases == gf2.bases
+    assert rat.blocks.keys() == gf2.blocks.keys()
     for key, cols in gf2.blocks.items():
         assert [[(i, abs(v)) for i, v in col] for col in rat.blocks[key]] == cols
         assert all(v in (1, -1) for col in rat.blocks[key] for _, v in col)
@@ -348,8 +357,8 @@ def full_elimination_table(d):
     c = build_complex(d, Q)
     ranks = {key: sparse_integer_rank([dict(col) for col in cols]) for key, cols in c.blocks.items()}
     entries = {}
-    for (t, q), basis in c.bases.items():
-        dim = len(basis) - ranks.get((t, q), 0) - ranks.get((t - 1, q), 0)
+    for (t, q), cols in c.blocks.items():
+        dim = len(cols) - ranks.get((t, q), 0) - ranks.get((t - 1, q), 0)
         if dim:
             entries[t, q] = dim
     return entries

@@ -74,6 +74,29 @@ def test_empty_field_list_is_rejected(monkeypatch):
         certify(load("trefoil.pd"), [])
 
 
+def test_one_walker_per_command(monkeypatch):
+    """certify, is_1_complete and the census each walk the cube with one
+    walker; a, b and chi come from the atom, which walks no state."""
+    import kmc.statesum
+    from kmc.single_circle import single_circle_census
+    from kmc.statesum import is_1_complete
+
+    real = kmc.statesum._walker
+    built = []
+    monkeypatch.setattr(kmc.statesum, "_walker", lambda d: built.append(d) or real(d))
+    d = load("6_2.pd")
+    for run in (
+        lambda: certify(d),
+        lambda: certify(d, [GF2]),
+        lambda: certify(d, [Q]),
+        lambda: is_1_complete(d),
+        lambda: single_circle_census(d),
+    ):
+        built.clear()
+        run()
+        assert len(built) == 1
+
+
 def test_disconnected_rejected():
     with pytest.raises(DiagramError):
         certify(Diagram(0, (), 2))

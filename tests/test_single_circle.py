@@ -8,7 +8,8 @@ from kmc.diagram import Diagram, parse_gauss, r1_add
 from kmc.errors import LimitError
 from kmc.generate import random_virtual_diagram
 from kmc.khovanov import GF2, kh_table
-from kmc.single_circle import single_circle_census, single_circle_window
+from kmc.single_circle import single_circle_census
+from kmc.statesum import circles_of_state
 
 UNKNOT = Diagram(0, (), 1)
 
@@ -43,16 +44,16 @@ def test_virtual_trefoil_census():
 
 
 def test_window_arithmetic():
-    d = load("trefoil.pd")
-    lo, hi = single_circle_window(d)
-    assert (lo, hi) == (2, 2)
-    assert single_circle_window(parse_gauss("O1+ O2+ U1+ U2+")) == (0, 1)
-    # window width is 2 - chi for any diagram
+    assert single_circle_census(load("trefoil.pd")).window == (2, 2)
+    assert single_circle_census(parse_gauss("O1+ O2+ U1+ U2+")).window == (0, 1)
+    # the window is (x - 1, n + 1 - y) and its width 2 - chi for any diagram
     rng = random.Random(51)
     for _ in range(40):
         d = random_virtual_diagram(9, rng)
-        lo, hi = single_circle_window(d)
         census = single_circle_census(d)
+        lo, hi = census.window
+        x, y = circles_of_state(d, 0), circles_of_state(d, (1 << d.n) - 1)
+        assert (lo, hi) == (x - 1, d.n + 1 - y)
         assert hi - lo == 2 - census.chi
 
 

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import load
+from kmc.atom import build_atom
 from kmc.diagram import Diagram, mirror, parse_gauss, r1_add, r2_add, virtualize
 from kmc.generate import random_classical_diagram, random_virtual_diagram
 from kmc.laurent import Laurent
 from kmc.statesum import (
-    all_a_b_circles,
     circle_counts,
     circles_of_state,
     is_1_complete,
@@ -40,7 +40,7 @@ def test_circles_trefoil_states():
 
 def test_circles_virtual_trefoil():
     d = parse_gauss("O1+ O2+ U1+ U2+")
-    a, b = all_a_b_circles(d)
+    a, b = circles_of_state(d, 0), circles_of_state(d, 0b11)
     assert a + b - d.n == 1  # the atom is a projective plane
     assert (a, b) == (1, 2)
     # middle states have one circle each (hand-traced)
@@ -124,11 +124,9 @@ def test_span_bound_random():
     rng = random.Random(22)
     for _ in range(80):
         d = random_virtual_diagram(8, rng)
-        a, b = all_a_b_circles(d)
-        chi = a + b - d.n
         poly = kauffman_bracket(d)
         if poly:
-            assert poly.span() <= span_bound(d, chi)
+            assert poly.span() <= span_bound(d, build_atom(d).chi)
 
 
 def test_fold_clasp_unknot_bracket():
