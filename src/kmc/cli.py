@@ -60,7 +60,7 @@ def _print_json(data: dict) -> None:
 
 def _cmd_bracket(args: argparse.Namespace) -> int:
     d = load_diagram(args.file)
-    strict, details = is_1_complete(d)
+    strict, details = is_1_complete(d, max_crossings=args.max_crossings)
     poly = details["bracket"]
     if args.json:
         _print_json(

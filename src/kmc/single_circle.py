@@ -21,12 +21,9 @@ from functools import cached_property
 
 from .atom import build_atom
 from .diagram import Diagram
-from .errors import LimitError, resolve_limit
-from .statesum import circle_counts
+from .statesum import check_census_limit, circle_counts
 
 __all__ = ["SingleCircleCensus", "single_circle_census"]
-
-DEFAULT_MAX_CENSUS = 24
 
 
 @dataclass(frozen=True)
@@ -78,9 +75,7 @@ def single_circle_census(
 ) -> SingleCircleCensus:
     """One counting pass over all 2^n states, filtered to one circle; the
     window and chi come from the atom."""
-    limit = resolve_limit(max_crossings, DEFAULT_MAX_CENSUS)
-    if d.n > limit:
-        raise LimitError(f"diagram has {d.n} crossings; census limit is {limit}")
+    check_census_limit(d, max_crossings)
     found = tuple(s for s, circles in enumerate(circle_counts(d)) if circles == 1)
     atom = build_atom(d)
     return SingleCircleCensus(d.n, found, (atom.a - 1, d.n + 1 - atom.b), atom.chi)

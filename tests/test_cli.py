@@ -155,6 +155,19 @@ def test_max_crossings_flag(capsys):
     assert "limit" in err
 
 
+def test_bracket_and_census_limits_refuse_before_any_pass(capsys, monkeypatch, no_cube_walk):
+    six_two = str(FIXTURES / "6_2.pd")
+    expected = "kmc: diagram has 6 crossings; census limit is 3\n"
+    for command in ("bracket", "k1"):
+        for mode in ((), ("--json",)):
+            assert run(capsys, command, six_two, "--max-crossings", "3", *mode) == (
+                1, "", expected
+            )
+    monkeypatch.setenv("KMC_MAX_CROSSINGS", "3")
+    for command in ("bracket", "k1"):
+        assert run(capsys, command, six_two) == (1, "", expected)
+
+
 def test_batch(capsys, tmp_path):
     for name in ("trefoil.pd", "kinked_trefoil.pd", "virtual_trefoil.gauss"):
         (tmp_path / name).write_text((FIXTURES / name).read_text())

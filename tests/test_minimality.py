@@ -63,38 +63,29 @@ def test_explicit_rational_request_on_virtual_fails():
         certify(parse_gauss("O1+ O2+ U1+ U2+"), [Q])
 
 
-def test_empty_field_list_is_rejected(monkeypatch):
-    import kmc.statesum
-
-    def no_walk(d):
-        raise AssertionError("the cube was walked")
-
-    monkeypatch.setattr(kmc.statesum, "_walker", no_walk)
+def test_empty_field_list_is_rejected(no_cube_walk):
     with pytest.raises(UnsupportedFieldError, match="no coefficient field"):
         certify(load("trefoil.pd"), [])
 
 
-def test_one_walker_per_command(monkeypatch):
-    """certify, is_1_complete and the census each walk the cube with one
-    walker; a, b and chi come from the atom, which walks no state."""
-    import kmc.statesum
+def test_one_cube_pass_per_command(cube_walks):
+    """certify makes one labelled pass (one walker), is_1_complete and the
+    census one counting pass (no walker); a, b and chi come from the atom,
+    which walks no state."""
     from kmc.single_circle import single_circle_census
     from kmc.statesum import is_1_complete
 
-    real = kmc.statesum._walker
-    built = []
-    monkeypatch.setattr(kmc.statesum, "_walker", lambda d: built.append(d) or real(d))
     d = load("6_2.pd")
-    for run in (
-        lambda: certify(d),
-        lambda: certify(d, [GF2]),
-        lambda: certify(d, [Q]),
-        lambda: is_1_complete(d),
-        lambda: single_circle_census(d),
+    for run, kinds in (
+        (lambda: certify(d), ["labelled", "walker"]),
+        (lambda: certify(d, [GF2]), ["labelled", "walker"]),
+        (lambda: certify(d, [Q]), ["labelled", "walker"]),
+        (lambda: is_1_complete(d), ["counting"]),
+        (lambda: single_circle_census(d), ["counting"]),
     ):
-        built.clear()
+        cube_walks.clear()
         run()
-        assert len(built) == 1
+        assert cube_walks == [(kind, d) for kind in kinds]
 
 
 def test_disconnected_rejected():
@@ -231,23 +222,27 @@ def test_seven_crossing_alternating_minimal():
     assert cert.thickness == 2
 
 
-def test_limits_are_checked_before_the_cube_is_walked(monkeypatch):
-    import kmc.statesum
+def test_limits_are_checked_before_the_cube_is_walked(no_cube_walk, monkeypatch):
     from kmc.errors import LimitError
+    from kmc.single_circle import single_circle_census
+    from kmc.statesum import is_1_complete, kauffman_bracket
 
     d = load("trefoil.pd")
     while d.n < 17:
         d = r1_add(d, 0, 1)
 
-    def no_walk(d):
-        raise AssertionError("the cube was walked")
-
-    monkeypatch.setattr(kmc.statesum, "_walker", no_walk)
     for fields in (None, [GF2], [Q], [GF2, Q]):
         with pytest.raises(LimitError):
             certify(d, fields)
     with pytest.raises(UnsupportedFieldError):
         certify(parse_gauss("O1+ O2+ U1+ U2+"), [GF2, Q])
+    for count in (kauffman_bracket, is_1_complete, single_circle_census):
+        with pytest.raises(LimitError, match="17 crossings; census limit is 16"):
+            count(d, max_crossings=16)
+    monkeypatch.setenv("KMC_MAX_CROSSINGS", "16")
+    for count in (kauffman_bracket, is_1_complete, single_circle_census):
+        with pytest.raises(LimitError, match="census limit is 16"):
+            count(d)
 
 
 def _patched_tables(monkeypatch, change):

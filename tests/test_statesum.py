@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load
-from kmc.atom import build_atom
+from conftest import FIXTURES, load
+from kmc.atom import build_atom, orientable
 from kmc.diagram import Diagram, mirror, parse_gauss, r1_add, r2_add, virtualize
 from kmc.generate import random_classical_diagram, random_virtual_diagram
 from kmc.laurent import Laurent
@@ -194,3 +194,26 @@ def test_walk_partition_matches_union_find(d, state):
 @given(DIAGRAMS)
 def test_counting_pass_matches_each_state(d):
     assert list(circle_counts(d)) == [circles_of_state(d, s) for s in range(1 << d.n)]
+
+
+def _counting_pass_cases():
+    for path in sorted(FIXTURES.iterdir()):
+        if path.suffix in (".pd", ".gauss"):
+            yield path.name, load(path.name)
+    for k in (1, 2, 3):
+        yield f"{k} free loops", Diagram(0, (), k)
+    # crossings plus a free loop: a clasp between two of three unlinked loops
+    yield "clasp and loop", r2_add(Diagram(0, (), 3), 0, 1)
+    virtual = random_virtual_diagram(10, random.Random(5))
+    assert virtual.n == 9 and not orientable(build_atom(virtual))
+    yield "non-orientable virtual", virtual
+    # the benchmark's states_census generator call: undo reaches crossing 12
+    d = random_classical_diagram(13, random.Random(2))
+    assert d.n == 13
+    yield "classical n = 13", d
+
+
+def test_counting_pass_matches_each_state_on_named_diagrams():
+    for name, d in _counting_pass_cases():
+        counts = list(circle_counts(d))
+        assert counts == [circles_of_state(d, s) for s in range(1 << d.n)], name
