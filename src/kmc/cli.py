@@ -5,11 +5,14 @@ Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 computation or input error (a failed internal check or running out of
 memory included), 2 usage error.  The environment variable
 KMC_MAX_CROSSINGS (or --max-crossings) overrides enumeration limits.
+The argument parser is built once per process, on the first ``main``
+call, and reused: parsing leaves it unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -311,8 +314,13 @@ def _parse_fields(raw: str | None) -> list[str] | None:
     return fields
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         if args.max_crossings is not None and args.max_crossings <= 0:

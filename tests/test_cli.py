@@ -393,3 +393,37 @@ def test_out_of_memory_is_a_one_line_error(capsys, tmp_path, monkeypatch):
     assert code == 1
     assert "trefoil.pd: error: out of memory" in out
     assert "total: 1 files, 0 MINIMAL, 0 INCONCLUSIVE, 1 errors" in out
+
+
+def test_one_parser_per_process(capsys, monkeypatch):
+    """main builds its parser on the first call and reuses it; each call
+    gives the stdout, stderr and exit code of a freshly built parser."""
+    import kmc.cli as cli
+
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    calls = [
+        (["bracket", str(FIXTURES / "trefoil.pd")], 0),
+        (["bracket", str(FIXTURES / "trefoil.pd"), "--json"], 0),
+        (["k1", str(FIXTURES / "6_2.pd"), "--max-crossings", "3"], 1),
+        (["certify", str(FIXTURES / "virtual_trefoil.gauss"), "--fields", "gf2", "--json"], 0),
+        (["atom"], 2),
+        (["kh", str(FIXTURES / "trefoil.pd"), "--field", "q"], 0),
+        (["kh", str(FIXTURES / "trefoil.pd"), "--max-crossings", "0"], 2),
+        (["atom", str(FIXTURES / "virtual_trefoil.gauss"), "--json"], 0),
+        (["certify-table", str(FIXTURES / "13n3663_khq.json"), "--n", "13"], 0),
+        (["no-such-command"], 2),
+        (["k1", str(FIXTURES / "trefoil.pd")], 0),
+    ]
+    cli._shared_parser.cache_clear()
+    try:
+        shared = [run(capsys, *argv) for argv, _ in calls]
+        assert len(built) == 1
+        assert [code for code, _, _ in shared] == [code for _, code in calls]
+        for (argv, _), result in zip(calls, shared):
+            cli._shared_parser.cache_clear()
+            assert run(capsys, *argv) == result
+        assert len(built) == 1 + len(calls)
+    finally:
+        cli._shared_parser.cache_clear()
