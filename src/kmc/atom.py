@@ -1,4 +1,4 @@
-"""The atom of a diagram: cell structure, Euler characteristic, genus.
+"""The atom of a diagram: cell counts, Euler characteristic, genus.
 
 The atom is the closed surface built on a diagram's 4-valent graph by
 attaching a disc along every circle of the all-A state (the white cells)
@@ -9,10 +9,20 @@ are the vertices and arcs the edges, so
 
 Every arc lies on exactly one white and one black boundary walk; the
 surface is orientable iff the cells can be oriented so that those two
-walks run through each shared edge in opposite directions, a parity
-constraint solved by union-find over cells.  A component with no
-crossings (a free loop) is a sphere: one white and one black cell,
-chi = 2.
+walks run through each shared edge in opposite directions.  Direct each
+arc as its white walk runs it.  A white walk enters a crossing by one
+port of an A pair, (0,1) or (2,3), and leaves by the other; the black
+walk, running each arc the other way, does the same for a B pair, (1,2)
+or (3,0).  So ports 0 and 2 are both heads or both tails and ports 1 and
+3 the opposite: two opposite edges point in and two out (a source-sink
+orientation).  Give crossing c a bit x_c, carried by ports 0 and 2 while
+ports 1 and 3 carry its complement; an arc (p, q) joins a head to a tail,
+so x_c(p) + x_c(q) = 1 + p + q (mod 2).  Conversely such a 2-colouring
+directs every cell's walk consistently.  ``diagram.crossing_components``
+solves it per component in the search that numbers the components, so
+the cells are only counted, by one directionless walk of each of the
+all-A and all-B states.  A component with no crossings (a free loop) is
+a sphere: one white and one black cell, chi = 2.
 
 A connected diagram has twice_genus = 2 - chi.  For a disconnected
 diagram the genus reported here is the sum over components, while chi
@@ -22,7 +32,6 @@ quantity the bracket span bound wants).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,36 +45,22 @@ __all__ = [
     "genus",
 ]
 
-# One walk step: (arc index, True when the arc is traversed from its
-# lower-numbered port to its higher-numbered one).
-WalkStep = tuple[int, bool]
-Walk = tuple[WalkStep, ...]
-
 
 @dataclass(frozen=True)
 class Atom:
-    """Cell structure of the atom of a diagram.
+    """Cell counts of the atom of a diagram.
 
-    white_cells / black_cells hold one boundary walk per all-A / all-B
-    circle; free-loop cells sit at the end of each list as empty walks.
-    component_chis / component_orientable describe the connected
-    components of the diagram (crossing components first, then one
-    sphere per free loop).
+    a / b count the white (all-A) / black (all-B) cells, free loops
+    included.  component_chis / component_orientable describe the
+    connected components of the diagram (crossing components first, in
+    order of least crossing, then one sphere per free loop).
     """
 
     n: int
-    white_cells: tuple[Walk, ...]
-    black_cells: tuple[Walk, ...]
+    a: int
+    b: int
     component_chis: tuple[int, ...]
     component_orientable: tuple[bool, ...]
-
-    @property
-    def a(self) -> int:
-        return len(self.white_cells)
-
-    @property
-    def b(self) -> int:
-        return len(self.black_cells)
 
     @property
     def chi(self) -> int:
@@ -93,87 +88,43 @@ class GenusValue:
         return f"{self.twice_genus}/2"
 
 
-def _trace_walks(d: Diagram, b_side: bool) -> list[Walk]:
-    """Boundary walks of the white (all-A) or black (all-B) cells: after
+def _cell_crossings(d: Diagram, step: int) -> list[int]:
+    """One crossing on each white (step 1) or black (step 3) cell: after
     the arc into port p, the A-smoothing leaves by port p ^ 1 (pairs 0-1,
     2-3), the B-smoothing by port p ^ 3 (pairs 1-2, 3-0)."""
-    step = 3 if b_side else 1
-    walks: list[Walk] = []
-    arc_done = [False] * len(d.arcs)
-    for i, (p0, _) in enumerate(d.arcs):
-        if arc_done[i]:
+    partner = d.partner
+    seen = [False] * (4 * d.n)
+    out = []
+    for start in range(4 * d.n):
+        if seen[start]:
             continue
-        walk: list[WalkStep] = []
-        frm = p0
-        while True:
-            ai = d.arc_index[frm]
-            arc_done[ai] = True
-            walk.append((ai, frm == d.arcs[ai][0]))
-            frm = d.partner[frm] ^ step
-            if frm == p0:
-                break
-        walks.append(tuple(walk))
-    return walks
+        out.append(start >> 2)
+        p = start
+        while not seen[p]:
+            q = partner[p]
+            seen[p] = seen[q] = True
+            p = q ^ step
+    return out
 
 
 def build_atom(d: Diagram) -> Atom:
-    """Trace all cells and classify each diagram component's surface."""
-    white = _trace_walks(d, b_side=False)
-    black = _trace_walks(d, b_side=True)
-
-    comp_of_crossing, n_comps = crossing_components(d)
-
-    # cells 0..a'-1 white, a'..a'+b'-1 black (port-backed cells only);
-    # cell_of_arc[0] and [1]: the white and the black cell along each arc
-    cells = len(white) + len(black)
-    cell_of_arc: tuple[dict[int, tuple[int, bool]], ...] = ({}, {})
-    for ci, walk in enumerate(white + black):
-        for ai, direction in walk:
-            cell_of_arc[ci >= len(white)][ai] = (ci, direction)
-
-    # orientability: parity union-find over cells; flipping one cell of
-    # a glued pair is forced whenever both walks run the arc the same way
-    parent = list(range(cells))
-    parity = [0] * cells
-
-    def find(x: int) -> tuple[int, int]:
-        path = []
-        while parent[x] != x:
-            path.append(x)
-            x = parent[x]
-        p = 0
-        for y in reversed(path):
-            p ^= parity[y]
-            parity[y] = p
-            parent[y] = x
-        return x, parity[path[0]] if path else 0
-
-    comp_orientable = [True] * (n_comps + d.free_loops)
-    for ai in range(len(d.arcs)):
-        wc, wd = cell_of_arc[0][ai]
-        bc, bd = cell_of_arc[1][ai]
-        want = 1 if wd == bd else 0
-        rw, pw = find(wc)
-        rb, pb = find(bc)
-        if rw == rb:
-            if pw ^ pb != want:
-                comp_orientable[comp_of_crossing[d.arcs[ai][0] // 4]] = False
-        else:
-            parent[rw] = rb
-            parity[rw] = pw ^ pb ^ want
-
+    """Count the cells and classify each diagram component's surface."""
+    comp, count, flat = crossing_components(d)
+    white = _cell_crossings(d, 1)
+    black = _cell_crossings(d, 3)
     # chi of a component: its white and black cells minus its crossings
-    chi = Counter(comp_of_crossing[d.arcs[w[0][0]][0] // 4] for w in white + black)
-    chi.subtract(comp_of_crossing)
-    comp_chi = [chi[k] for k in range(n_comps)] + [2] * d.free_loops
-
-    empty: tuple[Walk, ...] = tuple(() for _ in range(d.free_loops))
+    chi = [0] * count
+    for c in white + black:
+        chi[comp[c]] += 1
+    for k in comp:
+        chi[k] -= 1
+    loops = d.free_loops
     return Atom(
         n=d.n,
-        white_cells=tuple(white) + empty,
-        black_cells=tuple(black) + empty,
-        component_chis=tuple(comp_chi),
-        component_orientable=tuple(comp_orientable),
+        a=len(white) + loops,
+        b=len(black) + loops,
+        component_chis=tuple(chi) + (2,) * loops,
+        component_orientable=tuple(k not in flat for k in range(count)) + (True,) * loops,
     )
 
 

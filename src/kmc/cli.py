@@ -164,16 +164,16 @@ def _cmd_k1(args: argparse.Namespace) -> int:
         _print_json(
             {
                 "schema": 1,
-                "size": len(census.states),
-                "b_histogram": {str(k): v for k, v in census.b_histogram().items()},
+                "size": census.size,
+                "b_histogram": {str(k): v for k, v in census.b_histogram.items()},
                 "window": list(census.window),
                 "chi": census.chi,
                 "checks": checks,
             }
         )
     else:
-        print(f"census size: {len(census.states)}")
-        hist = " ".join(f"{k}:{v}" for k, v in census.b_histogram().items())
+        print(f"census size: {census.size}")
+        hist = " ".join(f"{k}:{v}" for k, v in census.b_histogram.items())
         print(f"b-smoothing histogram: {hist if hist else '(empty)'}")
         print(f"window: [{census.window[0]}, {census.window[1]}]")
         for name, ok in checks.items():

@@ -332,22 +332,40 @@ def r2_add(
     return Diagram(d.n + 2, tuple(arcs) + tuple(new), loops)
 
 
-def crossing_components(d: Diagram) -> tuple[list[int], int]:
-    """Component id of every crossing in the underlying 4-valent graph,
-    numbered in order of least crossing, and the number of components."""
-    parent = list(range(d.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p, q in d.arcs:
-        parent[find(p // 4)] = find(q // 4)
-    index: dict[int, int] = {}
-    comp = [index.setdefault(find(c), len(index)) for c in range(d.n)]
-    return comp, len(index)
+def crossing_components(d: Diagram) -> tuple[list[int], int, set[int]]:
+    """(comp, count, flat) from one depth-first search of the 4-valent
+    graph: the component of every crossing, numbered in order of least
+    crossing, the number of components, and the flat ones, which have no
+    source-sink orientation (two opposite edges in, two out at every
+    crossing) and so a non-orientable atom (see ``kmc.atom``).  The search
+    2-colours the crossings: crossing c gets a bit x_c, ports 0 and 2
+    carry x_c, ports 1 and 3 its complement, and an arc (p, q) requires
+    x_c(p) + x_c(q) = 1 + p + q (mod 2)."""
+    comp = [-1] * d.n
+    colour = [0] * d.n
+    flat: set[int] = set()
+    partner = d.partner
+    count = 0
+    for root in range(d.n):
+        if comp[root] >= 0:
+            continue
+        comp[root] = count
+        stack = [root]
+        while stack:
+            c = stack.pop()
+            flip = 1 ^ colour[c]
+            for p in range(4 * c, 4 * c + 4):
+                q = partner[p]
+                e = q >> 2
+                want = flip ^ ((p ^ q) & 1)
+                if comp[e] < 0:
+                    comp[e] = count
+                    colour[e] = want
+                    stack.append(e)
+                elif colour[e] != want:
+                    flat.add(count)
+        count += 1
+    return comp, count, flat
 
 
 def split_components(d: Diagram) -> list[Diagram]:
@@ -356,7 +374,7 @@ def split_components(d: Diagram) -> list[Diagram]:
     Each free loop is its own component.  Crossings are relabelled
     consecutively inside each returned diagram.
     """
-    comp, count = crossing_components(d)
+    comp, count, _ = crossing_components(d)
     out = []
     for k in range(count):
         crossings = [c for c in range(d.n) if comp[c] == k]

@@ -62,8 +62,8 @@ from itertools import accumulate
 from math import comb
 from pathlib import Path
 
-from . import atom as atom_mod
-from .diagram import Diagram, crossing_signs, orient
+from .atom import GenusValue
+from .diagram import Diagram, crossing_components, crossing_signs, orient
 from .errors import LimitError, TableError, UnsupportedFieldError, resolve_limit
 from .laurent import Laurent
 from .linalg import gf2_rank, sparse_integer_rank
@@ -175,25 +175,28 @@ class KhTable:
             if key in entries:
                 raise TableError(f"duplicate table entry at (t={t}, q={q})")
             entries[key] = dim
-        name = field_hint or data.get("field", Q)
+        name = data.get("field", field_hint or Q)
         if name not in (GF2, Q):
             raise TableError(f"unknown table field {name!r} (expected gf2 or q)")
+        if field_hint and field_hint != name:
+            raise TableError(f"table is over {name}, not {field_hint}")
         return cls(name, entries)
 
 
 def _single_field_block(data: dict, field_hint: str | None) -> dict:
-    """Accept either a bare table or certificate JSON with a fields map."""
+    """Accept either a bare table or certificate JSON with a fields map,
+    whose key names a table's field where the table does not."""
     if "entries" in data:
         return data
     fields = data.get("fields")
     if isinstance(fields, dict) and fields:
-        if field_hint and field_hint in fields:
-            return fields[field_hint]
-        if len(fields) == 1:
-            return next(iter(fields.values()))
-        raise TableError(
-            f"several field tables present ({', '.join(sorted(fields))}); pick one"
-        )
+        if field_hint not in fields and len(fields) > 1:
+            raise TableError(
+                f"several field tables present ({', '.join(sorted(fields))}); pick one"
+            )
+        name = field_hint if field_hint in fields else next(iter(fields))
+        block = fields[name]
+        return {"field": name, **block} if isinstance(block, dict) else block
     raise TableError("no homology table found in JSON data")
 
 
@@ -214,16 +217,11 @@ def load_table(path: str | Path, field_hint: str | None = None) -> KhTable:
     return KhTable.from_json_dict(block, field_hint)
 
 
-def check_field(
-    d: Diagram,
-    field: str,
-    *,
-    max_crossings: int | None = None,
-    atom: atom_mod.Atom | None = None,
-) -> None:
+def check_field(d: Diagram, field: str, *, max_crossings: int | None = None) -> None:
     """Raise unless the complex of d over field may be built: the field
-    is known, d is within its crossing limit, and the atom is orientable
-    when the field is Q.  Nothing here is exponential in n."""
+    is known, d is within its crossing limit, and, over Q, the atom is
+    orientable (``crossing_components`` finds no flat component).
+    Nothing here is exponential in n."""
     if field not in (GF2, Q):
         raise UnsupportedFieldError(f"unknown field {field!r}")
     limit = resolve_limit(
@@ -233,7 +231,7 @@ def check_field(
         raise LimitError(
             f"diagram has {d.n} crossings; limit for field {field} is {limit}"
         )
-    if field == Q and not atom_mod.orientable(atom or atom_mod.build_atom(d)):
+    if field == Q and crossing_components(d)[2]:
         raise UnsupportedFieldError(
             "rational coefficients need an orientable atom; this diagram's"
             " atom is non-orientable (use gf2)"
@@ -241,23 +239,19 @@ def check_field(
 
 
 def build_complex(
-    d: Diagram,
-    field: str = GF2,
-    *,
-    max_crossings: int | None = None,
-    atom: atom_mod.Atom | None = None,
+    d: Diagram, field: str = GF2, *, max_crossings: int | None = None
 ) -> KhComplex:
     """Build the cube complex of d over GF(2) or Q, check d.d = 0 and
     rank every block over GF(2).
 
-    Rational coefficients require an orientable atom (pass d's atom when
-    it is at hand, as for ``check_field``).  Over Q, d.d = 0 is checked
-    by exact integer sums, which implies it mod 2; over GF(2), by XOR in
-    the pass that ranks the blocks.  A failed check, or a single-cycle
-    edge over Q, raises an AssertionError.  The GF(2) ranks are kept in
-    gf2_ranks, so a complex over Q carries both tables (see ``homology``).
+    Rational coefficients require an orientable atom (``check_field``
+    reads it from d).  Over Q, d.d = 0 is checked by exact integer sums,
+    which implies it mod 2; over GF(2), by XOR in the pass that ranks the
+    blocks.  A failed check, or a single-cycle edge over Q, raises an
+    AssertionError.  The GF(2) ranks are kept in gf2_ranks, so a complex
+    over Q carries both tables (see ``homology``).
     """
-    check_field(d, field, max_crossings=max_crossings, atom=atom)
+    check_field(d, field, max_crossings=max_crossings)
     complex_ = _skeleton(d, *crossing_signs(d, orient(d)), field)
     if field == Q:
         _assert_d_squared_zero(complex_)
@@ -520,7 +514,7 @@ def broad_1_complete(tab: KhTable, n: int, chi: int) -> bool:
     return q_span(tab) == 2 * n + chi
 
 
-def is_2_complete(tab: KhTable, g: atom_mod.GenusValue) -> bool:
+def is_2_complete(tab: KhTable, g: GenusValue) -> bool:
     """Whether the diagonal count attains genus + 2 (exact, half-integers
     included: compares 2*thickness with twice_genus + 4)."""
     return tab.diagonal_spread() + 2 == g.twice_genus + 4

@@ -139,9 +139,9 @@ def certify(
     if not fields:
         raise UnsupportedFieldError("no coefficient field requested")
     for name in fields:
-        kh.check_field(d, name, max_crossings=max_crossings, atom=atom)
+        kh.check_field(d, name, max_crossings=max_crossings)
     over = kh.Q if kh.Q in fields else kh.GF2
-    complex_ = kh.build_complex(d, over, max_crossings=max_crossings, atom=atom)
+    complex_ = kh.build_complex(d, over, max_crossings=max_crossings)
     bracket = bracket_from_counts(d, complex_.state_counts)
     chi = atom.chi
     strict, details = bracket_completeness(d, bracket, chi)

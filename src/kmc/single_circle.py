@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 from .atom import build_atom
 from .diagram import Diagram
@@ -28,46 +27,39 @@ __all__ = ["SingleCircleCensus", "single_circle_census"]
 
 @dataclass(frozen=True)
 class SingleCircleCensus:
-    """All states with exactly one circle (as state bitmasks, whose
-    popcounts are their B-smoothing counts), plus the window they must
-    hit."""
+    """How many states of each B-smoothing count smooth the diagram into
+    exactly one circle (b_histogram, sorted by count), plus the window
+    those counts must hit."""
 
     n: int
-    states: tuple[int, ...]
+    b_histogram: dict[int, int]
     window: tuple[int, int]
     chi: int
 
     @property
+    def size(self) -> int:
+        return sum(self.b_histogram.values())
+
+    @property
     def is_empty(self) -> bool:
-        return not self.states
+        return not self.b_histogram
 
-    @cached_property
+    @property
     def b_values(self) -> tuple[int, ...]:
-        return tuple(sorted({s.bit_count() for s in self.states}))
-
-    @property
-    def b_min(self) -> int:
-        return self.b_values[0]
-
-    @property
-    def b_max(self) -> int:
-        return self.b_values[-1]
+        return tuple(self.b_histogram)
 
     @property
     def amplitude(self) -> int:
-        return self.b_max - self.b_min
+        return self.b_values[-1] - self.b_values[0]
 
     @property
     def parity_consistent(self) -> bool:
-        return len({b % 2 for b in self.b_values}) <= 1
+        return len({b % 2 for b in self.b_histogram}) <= 1
 
     @property
     def within_window(self) -> bool:
         lo, hi = self.window
-        return all(lo <= b <= hi for b in self.b_values)
-
-    def b_histogram(self) -> dict[int, int]:
-        return dict(sorted(Counter(s.bit_count() for s in self.states).items()))
+        return all(lo <= b <= hi for b in self.b_histogram)
 
 
 def single_circle_census(
@@ -76,6 +68,10 @@ def single_circle_census(
     """One counting pass over all 2^n states, filtered to one circle; the
     window and chi come from the atom."""
     check_census_limit(d, max_crossings)
-    found = tuple(s for s, circles in enumerate(circle_counts(d)) if circles == 1)
+    found = Counter(
+        s.bit_count() for s, circles in enumerate(circle_counts(d)) if circles == 1
+    )
     atom = build_atom(d)
-    return SingleCircleCensus(d.n, found, (atom.a - 1, d.n + 1 - atom.b), atom.chi)
+    return SingleCircleCensus(
+        d.n, dict(sorted(found.items())), (atom.a - 1, d.n + 1 - atom.b), atom.chi
+    )

@@ -225,6 +225,36 @@ def test_certify_table_needs_field_choice_for_multi_field_json(capsys, tmp_path)
     assert "verdict: MINIMAL" in out
 
 
+def test_certify_table_refuses_to_relabel_a_table(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "certify-table", str(FIXTURES / "13n3663_khq.json"), "--n", "13",
+        "--field", "gf2",
+    )
+    assert_one_line_error(code, err)
+    assert "table is over q, not gf2" in err and out == ""
+    code, out, _ = run(
+        capsys, "certify", str(FIXTURES / "figure8.pd"), "--fields", "gf2", "--json"
+    )
+    assert code == 0
+    path = tmp_path / "cert.json"
+    path.write_text(out)
+    code, out, err = run(capsys, "certify-table", str(path), "--n", "4", "--field", "q")
+    assert_one_line_error(code, err)
+    assert "table is over gf2, not q" in err and out == ""
+    code, out, _ = run(capsys, "certify-table", str(path), "--n", "4", "--field", "gf2")
+    assert code == 0
+    assert "table[gf2]" in out
+    # a table in a fields map that does not name its field is over the key's
+    entries = [{"t": 0, "q": 1, "dim": 1}, {"t": 0, "q": -1, "dim": 1}]
+    path.write_text(json.dumps({"fields": {"gf2": {"entries": entries}}}))
+    code, out, _ = run(capsys, "certify-table", str(path), "--n", "0")
+    assert code == 0
+    assert "table[gf2]" in out
+    code, out, err = run(capsys, "certify-table", str(path), "--n", "0", "--field", "q")
+    assert_one_line_error(code, err)
+    assert "table is over gf2, not q" in err and out == ""
+
+
 def test_empty_field_list_is_an_error(capsys, tmp_path):
     (tmp_path / "trefoil.pd").write_text((FIXTURES / "trefoil.pd").read_text())
     for argv in (

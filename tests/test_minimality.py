@@ -71,7 +71,8 @@ def test_empty_field_list_is_rejected(no_cube_walk):
 def test_one_cube_pass_per_command(cube_walks):
     """certify makes one labelled pass (one walker), is_1_complete and the
     census one counting pass (no walker); a, b and chi come from the atom,
-    which walks no state."""
+    which walks the circles of two states, all-A and all-B, by itself: not
+    the cube, and no walker."""
     from kmc.single_circle import single_circle_census
     from kmc.statesum import is_1_complete
 

@@ -17,16 +17,16 @@ UNKNOT = Diagram(0, (), 1)
 def test_kinked_unknot_census():
     d = r1_add(UNKNOT, 0, 1)
     census = single_circle_census(d)
-    assert len(census.states) == 1  # one smoothing gives one circle, the other two
+    assert census.size == 1  # one smoothing gives one circle, the other two
     d2 = r1_add(UNKNOT, 0, -1)
     census2 = single_circle_census(d2)
-    assert len(census2.states) == 1
+    assert census2.size == 1
     assert {census.b_values[0], census2.b_values[0]} == {0, 1}
 
 
 def test_trefoil_census_constant_b():
     census = single_circle_census(load("trefoil.pd"))
-    assert len(census.states) == 3
+    assert census.size == 3
     assert census.b_values == (2,)  # genus zero: one diagonal of generators
     assert census.window == (2, 2)
     assert census.amplitude == 0 == 2 - census.chi
@@ -36,7 +36,7 @@ def test_trefoil_census_constant_b():
 def test_virtual_trefoil_census():
     d = parse_gauss("O1+ O2+ U1+ U2+")
     census = single_circle_census(d)
-    assert census.b_histogram() == {0: 1, 1: 2}
+    assert census.b_histogram == {0: 1, 1: 2}
     assert census.window == (0, 1)
     assert census.within_window
     assert census.amplitude == 1 == 2 - census.chi
