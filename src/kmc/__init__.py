@@ -14,6 +14,7 @@ from .diagram import (
     parse_pd,
     r1_add,
     r2_add,
+    remove_kinks,
     render_pd,
     split_components,
     switch_crossing,

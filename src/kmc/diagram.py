@@ -51,6 +51,7 @@ __all__ = [
     "virtualize",
     "r1_add",
     "r2_add",
+    "remove_kinks",
     "components",
     "crossing_components",
     "split_components",
@@ -112,6 +113,11 @@ class Diagram:
             out[p] = i
             out[q] = i
         return tuple(out)
+
+    @cached_property
+    def crossing_graph(self) -> tuple[tuple[int, ...], int, frozenset[int]]:
+        """What ``crossing_components`` returns, searched once per diagram."""
+        return _search_crossings(self)
 
     def strand_count(self) -> int:
         """Number of handles that r1_add/r2_add accept: arcs then loops."""
@@ -332,15 +338,68 @@ def r2_add(
     return Diagram(d.n + 2, tuple(arcs) + tuple(new), loops)
 
 
-def crossing_components(d: Diagram) -> tuple[list[int], int, set[int]]:
-    """(comp, count, flat) from one depth-first search of the 4-valent
-    graph: the component of every crossing, numbered in order of least
-    crossing, the number of components, and the flat ones, which have no
-    source-sink orientation (two opposite edges in, two out at every
-    crossing) and so a non-orientable atom (see ``kmc.atom``).  The search
-    2-colours the crossings: crossing c gets a bit x_c, ports 0 and 2
-    carry x_c, ports 1 and 3 its complement, and an arc (p, q) requires
-    x_c(p) + x_c(q) = 1 + p + q (mod 2)."""
+def remove_kinks(d: Diagram) -> Diagram:
+    """The knot d with its Reidemeister I kinks removed; the inverse of
+    ``r1_add``.
+
+    A kink is an arc joining two adjacent ports of one crossing, 4c + i
+    and 4c + ((i + 1) mod 4).  Its crossing is deleted and the arcs at
+    its other two ports are joined into one, or, when they are one arc
+    already, become a free loop.  A join can make a new kink only at the
+    crossings it touches, so each crossing is looked at O(1) times.  The
+    remaining crossings keep their order.  Returns d itself when it has
+    no kink or is not a knot: renumbering ports may reverse one component
+    of a link against another, which changes its Khovanov table.
+    """
+    if components(d) != 1:
+        return d
+    n = d.n
+    partner = list(d.partner)
+    alive = [True] * n
+    loops = d.free_loops
+    todo = list(range(n))
+    while todo:
+        c = todo.pop()
+        if not alive[c]:
+            continue
+        base = 4 * c
+        for i in range(4):
+            if partner[base + i] == base + (i + 1) % 4:
+                alive[c] = False
+                p, q = partner[base + (i + 2) % 4], partner[base + (i + 3) % 4]
+                if p == base + (i + 3) % 4:
+                    loops += 1
+                else:
+                    partner[p], partner[q] = q, p
+                    todo += (p >> 2, q >> 2)
+                break
+    kept = [c for c in range(n) if alive[c]]
+    if len(kept) == n:
+        return d
+    new = {c: 4 * i for i, c in enumerate(kept)}  # first port of each kept crossing
+    arcs = tuple(
+        (new[p >> 2] + (p & 3), new[q >> 2] + (q & 3))
+        for p, q in enumerate(partner)
+        if p < q and alive[p >> 2]
+    )
+    return Diagram(len(kept), arcs, loops)
+
+
+def crossing_components(d: Diagram) -> tuple[tuple[int, ...], int, frozenset[int]]:
+    """(comp, count, flat): the component of every crossing, numbered in
+    order of least crossing, the number of components, and the flat ones,
+    which have no source-sink orientation (two opposite edges in, two out
+    at every crossing) and so a non-orientable atom (see ``kmc.atom``).
+    The search runs once per diagram (``Diagram.crossing_graph``), so
+    the values are immutable."""
+    return d.crossing_graph
+
+
+def _search_crossings(d: Diagram) -> tuple[tuple[int, ...], int, frozenset[int]]:
+    """``crossing_components`` by one depth-first search of the 4-valent
+    graph.  The search 2-colours the crossings: crossing c gets a bit
+    x_c, ports 0 and 2 carry x_c, ports 1 and 3 its complement, and an
+    arc (p, q) requires x_c(p) + x_c(q) = 1 + p + q (mod 2)."""
     comp = [-1] * d.n
     colour = [0] * d.n
     flat: set[int] = set()
@@ -365,7 +424,7 @@ def crossing_components(d: Diagram) -> tuple[list[int], int, set[int]]:
                 elif colour[e] != want:
                     flat.add(count)
         count += 1
-    return comp, count, flat
+    return tuple(comp), count, frozenset(flat)
 
 
 def split_components(d: Diagram) -> list[Diagram]:

@@ -15,19 +15,21 @@ import random
 
 from .diagram import (
     Diagram,
+    crossing_components,
     is_connected,
     parse_gauss,
     r1_add,
     r2_add,
-    split_components,
     switch_crossing,
     virtualize,
 )
+from .errors import DiagramError
 
 __all__ = [
     "random_gauss_code",
     "random_virtual_diagram",
     "random_classical_diagram",
+    "braid_closure",
 ]
 
 
@@ -70,30 +72,27 @@ def random_virtual_diagram(
     return d
 
 
-def _flat_face_count(d: Diagram) -> int:
-    """Faces of the underlying flat 4-valent map with counterclockwise
-    port rotations (over/under ignored); used only to keep the classical
-    generator planar."""
-    faces = 0
-    seen: set[int] = set()
-    for start in range(4 * d.n):
-        if start in seen:
-            continue
-        faces += 1
-        p = start
-        while p not in seen:
-            seen.add(p)
-            arrive = d.partner[p]
-            p = 4 * (arrive // 4) + (arrive % 4 + 1) % 4
-    return faces
-
-
 def _is_flat_planar(d: Diagram) -> bool:
-    """chi of the flat projection surface is 2 per component."""
-    for comp in split_components(d):
-        if comp.n and comp.n - 2 * comp.n + _flat_face_count(comp) != 2:
-            return False
-    return True
+    """Whether every component of the flat projection (over/under
+    ignored, counterclockwise port rotations) is drawn on a sphere: one
+    with c crossings has 2c edges, so chi = 2 needs c + 2 faces.  One
+    face walk over all ports; a face stays in its component."""
+    comp, count, _ = crossing_components(d)
+    excess = [-2] * count  # faces - crossings - 2, per component
+    for k in comp:
+        excess[k] -= 1
+    partner = d.partner
+    seen = [False] * (4 * d.n)
+    for start in range(4 * d.n):
+        if seen[start]:
+            continue
+        excess[comp[start >> 2]] += 1
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            arrive = partner[p]
+            p = arrive & ~3 | (arrive + 1) & 3
+    return not any(excess)
 
 
 def random_classical_diagram(max_n: int, rng: random.Random) -> Diagram:
@@ -133,3 +132,31 @@ def random_classical_diagram(max_n: int, rng: random.Random) -> Diagram:
         if rng.random() < 0.5:
             d = switch_crossing(d, c)
     return d
+
+
+def braid_closure(strands: int, word: list[int]) -> Diagram:
+    """The closure of a braid on the given number of strands, with
+    sigma_i^+-1 written +-i.  Strands run upward, position i left of
+    position i + 1.  With inputs a, b (left, right) and outputs c, d,
+    sigma_i is the PD crossing ``X b d c a``, positive for strands
+    oriented upward, and sigma_i^-1 is ``X a b d c``.  Each position's
+    last output joins its first input; a position no letter touches is
+    a free loop."""
+    first: list[int | None] = [None] * strands  # each position's first input
+    last: list[int | None] = [None] * strands  # each position's open output
+    arcs = []
+    for c, letter in enumerate(word):
+        i = abs(letter) - 1
+        if not 0 <= i < strands - 1:
+            raise DiagramError(f"no generator {letter} on {strands} strands")
+        # ports of the left input, right input, left output, right output
+        ports = (3, 0, 2, 1) if letter > 0 else (0, 1, 3, 2)
+        in_l, in_r, out_l, out_r = (4 * c + k for k in ports)
+        for pos, port in ((i, in_l), (i + 1, in_r)):
+            if last[pos] is None:
+                first[pos] = port
+            else:
+                arcs.append((last[pos], port))
+        last[i], last[i + 1] = out_l, out_r
+    arcs += [(a, b) for a, b in zip(last, first) if a is not None]
+    return Diagram(len(word), tuple(arcs), last.count(None))

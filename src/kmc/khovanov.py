@@ -63,7 +63,7 @@ from math import comb
 from pathlib import Path
 
 from .atom import GenusValue
-from .diagram import Diagram, crossing_components, crossing_signs, orient
+from .diagram import Diagram, crossing_components, crossing_signs, orient, remove_kinks
 from .errors import LimitError, TableError, UnsupportedFieldError, resolve_limit
 from .laurent import Laurent
 from .linalg import gf2_rank, sparse_integer_rank
@@ -485,8 +485,11 @@ def _dimensions(c: KhComplex, ranks: dict) -> dict[tuple[int, int], int]:
 
 
 def kh_table(d: Diagram, field: str = GF2, *, max_crossings: int | None = None) -> KhTable:
-    """Homology of d over field, from one checked complex."""
-    return homology(build_complex(d, field, max_crossings=max_crossings))
+    """Homology of d over field, from one checked complex of
+    ``remove_kinks(d)``: a knot's table is that of any diagram of it, and
+    removing n - m kinks shrinks the cube from 2^n to 2^m states.  The
+    crossing limit applies to the diagram whose cube is built."""
+    return homology(build_complex(remove_kinks(d), field, max_crossings=max_crossings))
 
 
 def thickness(tab: KhTable) -> Fraction:

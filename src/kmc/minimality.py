@@ -20,10 +20,15 @@ from fractions import Fraction
 
 from . import khovanov as kh
 from .atom import GenusValue, build_atom, genus as atom_genus
-from .diagram import Diagram, is_connected
+from .diagram import Diagram, crossing_signs, is_connected, orient, remove_kinks
 from .errors import DiagramError, InvariantError, TableError, UnsupportedFieldError
 from .laurent import LOOP, Laurent
-from .statesum import bracket_completeness, bracket_from_counts
+from .statesum import (
+    bracket_completeness,
+    bracket_from_counts,
+    check_census_limit,
+    kauffman_bracket,
+)
 
 __all__ = ["FieldReport", "Certificate", "certify", "certify_from_table"]
 
@@ -119,12 +124,19 @@ def certify(
     fields defaults to GF(2) plus the rationals when the atom is
     orientable; a repeated field counts once.  An empty list, or an
     explicit request for the rationals on a non-orientable atom, raises
-    UnsupportedFieldError.  Every field is checked against its limit
-    before the cube is walked.  The cube is walked once, into one
-    complex: over Q when the rationals are requested (its entries mod 2
-    give the GF(2) table), else over GF(2).  That complex carries the
-    bracket's state counts and every requested table; a, b and chi come
-    from the atom.
+    UnsupportedFieldError.
+
+    The tables come from one complex of ``remove_kinks(d)``, the same
+    knot with fewer crossings (a link is taken as given): over Q when the
+    rationals are requested (its entries mod 2 give the GF(2) table),
+    else over GF(2).  The atom, n, chi, the genus, the writhe and the
+    bracket are those of d.  When no kink was removed the bracket comes
+    from the complex's state counts, so the cube is walked once;
+    otherwise from one counting pass over d.  Either way the tables'
+    graded Euler characteristic must give d's bracket, which checks the
+    simplification.  Every limit is checked before the first pass: the
+    Khovanov limits on the diagram whose cube is built, the census limit
+    on d when its bracket needs a counting pass of its own.
     """
     if not is_connected(d):
         raise DiagramError(
@@ -138,11 +150,17 @@ def certify(
     fields = list(dict.fromkeys(fields))
     if not fields:
         raise UnsupportedFieldError("no coefficient field requested")
+    simple = remove_kinks(d)
     for name in fields:
-        kh.check_field(d, name, max_crossings=max_crossings)
+        kh.check_field(simple, name, max_crossings=max_crossings)
+    if simple is not d:
+        check_census_limit(d, max_crossings)
     over = kh.Q if kh.Q in fields else kh.GF2
-    complex_ = kh.build_complex(d, over, max_crossings=max_crossings)
-    bracket = bracket_from_counts(d, complex_.state_counts)
+    complex_ = kh.build_complex(simple, over, max_crossings=max_crossings)
+    if simple is d:
+        bracket = bracket_from_counts(d, complex_.state_counts)
+    else:
+        bracket = kauffman_bracket(d, max_crossings=max_crossings)
     chi = atom.chi
     strict, details = bracket_completeness(d, bracket, chi)
     if bracket and details["span"] > details["bound"]:
@@ -161,7 +179,8 @@ def certify(
     tables = {
         name: kh.homology(complex_, name) for name in (kh.GF2, kh.Q) if name in fields
     }
-    _check_tables(tables, bracket, complex_.n_plus - complex_.n_minus, g)
+    n_plus, n_minus = crossing_signs(d, orient(d))
+    _check_tables(tables, bracket, n_plus - n_minus, g)
     reports: dict[str, FieldReport] = {}
     for name in fields:
         table = tables[name]

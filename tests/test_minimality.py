@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import FIXTURES, load
-from kmc.diagram import Diagram, parse_gauss, r1_add, virtualize
+from kmc.diagram import Diagram, parse_gauss, r1_add, remove_kinks, virtualize
 from kmc.errors import DiagramError, TableError, UnsupportedFieldError
-from kmc.generate import random_classical_diagram, random_virtual_diagram
+from kmc.generate import braid_closure, random_classical_diagram, random_virtual_diagram
 from kmc.khovanov import GF2, KhTable, Q, load_table
 from kmc.minimality import INCONCLUSIVE, MINIMAL, certify, certify_from_table
 
@@ -87,6 +87,13 @@ def test_one_cube_pass_per_command(cube_walks):
         cube_walks.clear()
         run()
         assert cube_walks == [(kind, d) for kind in kinds]
+    # a kinked knot: the cube of the kink-free diagram, then d's bracket
+    kinked = load("kinked_trefoil.pd")
+    simple = remove_kinks(kinked)
+    assert simple.n == 3
+    cube_walks.clear()
+    certify(kinked)
+    assert cube_walks == [("labelled", simple), ("walker", simple), ("counting", kinked)]
 
 
 def test_disconnected_rejected():
@@ -228,9 +235,7 @@ def test_limits_are_checked_before_the_cube_is_walked(no_cube_walk, monkeypatch)
     from kmc.single_circle import single_circle_census
     from kmc.statesum import is_1_complete, kauffman_bracket
 
-    d = load("trefoil.pd")
-    while d.n < 17:
-        d = r1_add(d, 0, 1)
+    d = braid_closure(2, [1] * 17)  # T(2, 17): no kink to remove
 
     for fields in (None, [GF2], [Q], [GF2, Q]):
         with pytest.raises(LimitError):
