@@ -14,8 +14,8 @@ from .diagram import (
     parse_pd,
     r1_add,
     r2_add,
-    remove_kinks,
     render_pd,
+    simplify,
     split_components,
     switch_crossing,
     virtualize,

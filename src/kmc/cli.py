@@ -4,9 +4,10 @@ Subcommands: bracket, atom, kh, k1, certify, certify-table, batch.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 computation or input error (a failed internal check or running out of
 memory included), 2 usage error.  The environment variable
-KMC_MAX_CROSSINGS (or --max-crossings) overrides enumeration limits;
-the homology limits of kh, certify and batch apply to a knot once its
-kinks are removed, the census limit to the diagram as given.
+KMC_MAX_CROSSINGS (or --max-crossings) overrides enumeration limits,
+and must be a positive integer; the homology limits of kh, certify and
+batch apply to a knot once its kinks and bigons are removed, the census
+limit to the diagram as given.
 The argument parser is built once per process, on the first ``main``
 call, and reused: parsing leaves it unchanged.
 """

@@ -51,7 +51,7 @@ __all__ = [
     "virtualize",
     "r1_add",
     "r2_add",
-    "remove_kinks",
+    "simplify",
     "components",
     "crossing_components",
     "split_components",
@@ -338,18 +338,44 @@ def r2_add(
     return Diagram(d.n + 2, tuple(arcs) + tuple(new), loops)
 
 
-def remove_kinks(d: Diagram) -> Diagram:
-    """The knot d with its Reidemeister I kinks removed; the inverse of
-    ``r1_add``.
+def simplify(d: Diagram) -> Diagram:
+    """The knot d with its Reidemeister I kinks and II bigons removed
+    until neither is left; the inverse of ``r1_add`` and ``r2_add``.
 
     A kink is an arc joining two adjacent ports of one crossing, 4c + i
     and 4c + ((i + 1) mod 4).  Its crossing is deleted and the arcs at
-    its other two ports are joined into one, or, when they are one arc
-    already, become a free loop.  A join can make a new kink only at the
-    crossings it touches, so each crossing is looked at O(1) times.  The
-    remaining crossings keep their order.  Returns d itself when it has
-    no kink or is not a knot: renumbering ports may reverse one component
-    of a link against another, which changes its Khovanov table.
+    its other two ports are joined into one.
+
+    A bigon is a pair of crossings c1 != c2 joined by an over-over arc
+    (4c1 + a, 4c2 + b), a and b odd, and an under-under arc
+    (4c1 + a', 4c2 + b'), a' and b' even, whose corners turn opposite
+    ways: a' - a = b - b' (mod 4).  Both crossings are deleted, and the
+    arcs at the far ends of the over-strand, 4c1 + (a ^ 2) and
+    4c2 + (b ^ 2), are joined, then those of the under-strand.
+
+    Why the turns must be opposite.  A crossing is positive exactly when
+    its over-strand enters at a port o and its under-strand at u with
+    o - u = 3 (mod 4) (``crossing_signs``).  Run the over-strand from c1
+    to c2: it enters c1 at a ^ 2 and c2 at b.  If the under-strand runs
+    from c1 to c2 too, it enters at a' ^ 2 and b', so the signs are
+    opposite iff a - a' = b' - b; if it runs from c2 to c1, it enters at
+    b' ^ 2 and a', and the condition is the same.  So opposite turns are
+    opposite signs, in either orientation.  In the knot's Gauss diagram,
+    where virtual crossings are no chords, the two chords then have
+    opposite signs, adjacent over-ends and adjacent under-ends: the
+    configuration of the Gauss-diagram move Omega2, parallel or
+    antiparallel (Goussarov-Polyak-Viro).  Deleting them is that move,
+    so the result is the same virtual knot even when the bigon bounds no
+    face of a planar diagram; the crossings left keep their ports, hence
+    their passes and signs.  Same turns are equal signs, a clasp, which
+    no move removes: it stays.
+
+    A join that closes on itself makes a free loop.  A join can make a
+    new kink or bigon only at the crossings it touches, so each crossing
+    is looked at O(1) times.  The remaining crossings keep their order.
+    Returns d itself when nothing is removed or d is not a knot:
+    renumbering ports may reverse one component of a link against
+    another, which changes its Khovanov table.
     """
     if components(d) != 1:
         return d
@@ -358,21 +384,33 @@ def remove_kinks(d: Diagram) -> Diagram:
     alive = [True] * n
     loops = d.free_loops
     todo = list(range(n))
+
+    def join(p: int, q: int) -> None:
+        """Join the arcs at ports p and q, the ends of a deleted path."""
+        nonlocal loops
+        x, y = partner[p], partner[q]
+        if x == q:
+            loops += 1
+        else:
+            partner[x], partner[y] = y, x
+            todo.extend((x >> 2, y >> 2))
+
     while todo:
         c = todo.pop()
         if not alive[c]:
             continue
         base = 4 * c
-        for i in range(4):
-            if partner[base + i] == base + (i + 1) % 4:
-                alive[c] = False
-                p, q = partner[base + (i + 2) % 4], partner[base + (i + 3) % 4]
-                if p == base + (i + 3) % 4:
-                    loops += 1
-                else:
-                    partner[p], partner[q] = q, p
-                    todo += (p >> 2, q >> 2)
-                break
+        kink = next((i for i in range(4) if partner[base + i] == base + (i + 1) % 4), None)
+        if kink is not None:
+            alive[c] = False
+            join(base + (kink + 2) % 4, base + (kink + 3) % 4)
+            continue
+        bigon = _bigon_at(partner, c)
+        if bigon is not None:
+            over, under = bigon
+            alive[c] = alive[over[1] >> 2] = False
+            join(*over)
+            join(*under)
     kept = [c for c in range(n) if alive[c]]
     if len(kept) == n:
         return d
@@ -383,6 +421,21 @@ def remove_kinks(d: Diagram) -> Diagram:
         if p < q and alive[p >> 2]
     )
     return Diagram(len(kept), arcs, loops)
+
+
+def _bigon_at(partner: list[int], c: int) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """The far ends of the over- and of the under-strand of a bigon at
+    crossing c (see ``simplify``), each a pair of ports, or None."""
+    base = 4 * c
+    for a in (1, 3):
+        q = partner[base + a]
+        if q & 1 and q >> 2 != c:
+            for a2 in (0, 2):
+                q2 = partner[base + a2]
+                # q2 - q = b' - b, as both ports are at crossing q >> 2
+                if q2 >> 2 == q >> 2 and not q2 & 1 and (a2 - a + q2 - q) % 4 == 0:
+                    return (base + (a ^ 2), q ^ 2), (base + (a2 ^ 2), q2 ^ 2)
+    return None
 
 
 def crossing_components(d: Diagram) -> tuple[tuple[int, ...], int, frozenset[int]]:

@@ -33,16 +33,20 @@ class LimitError(KmcError):
 
 def resolve_limit(explicit: int | None, default: int) -> int:
     """The explicit limit, else the KMC_MAX_CROSSINGS environment value,
-    else default."""
+    which must be a positive integer (as ``--max-crossings`` must), else
+    default."""
     if explicit is not None:
         return explicit
     env = os.environ.get(ENV_LIMIT)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise LimitError(f"bad {ENV_LIMIT} value {env!r}") from exc
-    return default
+    if env is None:
+        return default
+    try:
+        limit = int(env)
+    except ValueError:
+        limit = 0
+    if limit <= 0:
+        raise LimitError(f"bad {ENV_LIMIT} value {env!r}")
+    return limit
 
 
 class UnsupportedFieldError(KmcError):

@@ -63,7 +63,7 @@ from math import comb
 from pathlib import Path
 
 from .atom import GenusValue
-from .diagram import Diagram, crossing_components, crossing_signs, orient, remove_kinks
+from .diagram import Diagram, crossing_components, crossing_signs, orient, simplify
 from .errors import LimitError, TableError, UnsupportedFieldError, resolve_limit
 from .laurent import Laurent
 from .linalg import gf2_rank, sparse_integer_rank
@@ -75,6 +75,7 @@ __all__ = [
     "KhComplex",
     "KhTable",
     "check_field",
+    "check_orientable",
     "build_complex",
     "homology",
     "kh_table",
@@ -231,7 +232,17 @@ def check_field(d: Diagram, field: str, *, max_crossings: int | None = None) -> 
         raise LimitError(
             f"diagram has {d.n} crossings; limit for field {field} is {limit}"
         )
-    if field == Q and crossing_components(d)[2]:
+    if field == Q:
+        check_orientable(d)
+
+
+def check_orientable(d: Diagram) -> None:
+    """Raise unless d's atom is orientable, as rational coefficients
+    need: ``crossing_components`` finds no flat component.  Removing a
+    kink or a bigon (``simplify``) keeps an orientable atom orientable,
+    but a bigon's removal can make a non-orientable one orientable, so
+    the rationals are decided on the diagram as given."""
+    if crossing_components(d)[2]:
         raise UnsupportedFieldError(
             "rational coefficients need an orientable atom; this diagram's"
             " atom is non-orientable (use gf2)"
@@ -486,10 +497,13 @@ def _dimensions(c: KhComplex, ranks: dict) -> dict[tuple[int, int], int]:
 
 def kh_table(d: Diagram, field: str = GF2, *, max_crossings: int | None = None) -> KhTable:
     """Homology of d over field, from one checked complex of
-    ``remove_kinks(d)``: a knot's table is that of any diagram of it, and
-    removing n - m kinks shrinks the cube from 2^n to 2^m states.  The
-    crossing limit applies to the diagram whose cube is built."""
-    return homology(build_complex(remove_kinks(d), field, max_crossings=max_crossings))
+    ``simplify(d)``: a knot's table is that of any diagram of it, and
+    removing kinks and bigons down to m crossings shrinks the cube from
+    2^n to 2^m states.  The crossing limit applies to the diagram whose
+    cube is built; over Q, d's atom must be orientable."""
+    if field == Q:
+        check_orientable(d)
+    return homology(build_complex(simplify(d), field, max_crossings=max_crossings))
 
 
 def thickness(tab: KhTable) -> Fraction:

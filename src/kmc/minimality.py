@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import khovanov as kh
 from .atom import GenusValue, build_atom, genus as atom_genus
-from .diagram import Diagram, crossing_signs, is_connected, orient, remove_kinks
+from .diagram import Diagram, crossing_signs, is_connected, orient, simplify
 from .errors import DiagramError, InvariantError, TableError, UnsupportedFieldError
 from .laurent import LOOP, Laurent
 from .statesum import (
@@ -126,17 +126,19 @@ def certify(
     explicit request for the rationals on a non-orientable atom, raises
     UnsupportedFieldError.
 
-    The tables come from one complex of ``remove_kinks(d)``, the same
-    knot with fewer crossings (a link is taken as given): over Q when the
-    rationals are requested (its entries mod 2 give the GF(2) table),
-    else over GF(2).  The atom, n, chi, the genus, the writhe and the
-    bracket are those of d.  When no kink was removed the bracket comes
-    from the complex's state counts, so the cube is walked once;
-    otherwise from one counting pass over d.  Either way the tables'
-    graded Euler characteristic must give d's bracket, which checks the
-    simplification.  Every limit is checked before the first pass: the
-    Khovanov limits on the diagram whose cube is built, the census limit
-    on d when its bracket needs a counting pass of its own.
+    The tables come from one complex of ``simplify(d)``, the same knot
+    with its kinks and bigons removed (a link is taken as given): over Q
+    when the rationals are requested (its entries mod 2 give the GF(2)
+    table), else over GF(2).  The atom, n, chi, the genus, the writhe
+    and the bracket are those of d, and so is the orientability that
+    decides whether the rationals are available.  When nothing was
+    removed the bracket comes from the complex's state counts, so the
+    cube is walked once; otherwise from one counting pass over d.
+    Either way the tables' graded Euler characteristic must give d's
+    bracket, which checks the simplification.  Every limit is checked
+    before the first pass: the Khovanov limits on the diagram whose cube
+    is built, the census limit on d when its bracket needs a counting
+    pass of its own.
     """
     if not is_connected(d):
         raise DiagramError(
@@ -150,7 +152,9 @@ def certify(
     fields = list(dict.fromkeys(fields))
     if not fields:
         raise UnsupportedFieldError("no coefficient field requested")
-    simple = remove_kinks(d)
+    if kh.Q in fields:
+        kh.check_orientable(d)
+    simple = simplify(d)
     for name in fields:
         kh.check_field(simple, name, max_crossings=max_crossings)
     if simple is not d:

@@ -206,6 +206,18 @@ def test_nonpositive_limit_is_usage_error(capsys):
     assert code == 2
 
 
+def test_nonpositive_env_limit_is_an_error(capsys, monkeypatch):
+    """A limit from the environment is refused as the flag's is, but as a
+    bad value (exit 1, one line) since argparse never sees it."""
+    trefoil = str(FIXTURES / "trefoil.pd")
+    for value in ("0", "-3", "three"):
+        monkeypatch.setenv("KMC_MAX_CROSSINGS", value)
+        for command in ("bracket", "kh", "certify"):
+            assert run(capsys, command, trefoil) == (
+                1, "", f"kmc: bad KMC_MAX_CROSSINGS value {value!r}\n"
+            )
+
+
 def test_certify_table_needs_field_choice_for_multi_field_json(capsys, tmp_path):
     import json as _json
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import load
-from kmc.diagram import Diagram, mirror, r1_add, r2_add, remove_kinks, split_components
+from kmc.diagram import Diagram, mirror, r1_add, r2_add, simplify, split_components
 from kmc.errors import DiagramError
 from kmc.generate import _is_flat_planar, braid_closure
 from kmc.khovanov import GF2, Q, kh_table
@@ -66,7 +66,7 @@ def test_braid_closures_are_planar_and_kink_free():
     for strands, word in ((2, [1] * 3), (2, [1] * 5), (2, [-1] * 7), (3, [1, -2] * 3)):
         d = braid_closure(strands, word)
         assert d.n == len(word) and _is_flat_planar(d)
-        assert remove_kinks(d) is d
+        assert simplify(d) is d
 
 
 def test_the_closure_of_sigma_cubed_is_a_trefoil():

@@ -18,7 +18,7 @@ from kmc.diagram import (
     mirror,
     parse_gauss,
     r1_add,
-    remove_kinks,
+    simplify,
 )
 from kmc.errors import InvariantError, LimitError
 from kmc.generate import random_classical_diagram, random_virtual_diagram
@@ -40,10 +40,10 @@ def kinked_17() -> Diagram:
 def test_removing_an_added_kink_gives_the_knot_back():
     for name in ("trefoil.pd", "figure8.pd", "6_2.pd", "virtual_trefoil.gauss"):
         d = load(name)
-        assert remove_kinks(d) is d
+        assert simplify(d) is d
         for strand in range(d.strand_count()):
             for chirality in (1, -1):
-                assert remove_kinks(r1_add(d, strand, chirality)) == d
+                assert simplify(r1_add(d, strand, chirality)) == d
 
 
 def test_nested_kinks_on_one_strand():
@@ -56,26 +56,26 @@ def test_nested_kinks_on_one_strand():
         d = r1_add(d, strand, chirality)
         strand = d.arcs.index((base + 2, base + 3) if chirality == 1 else (base, base + 3))
     assert d.n == 7
-    assert remove_kinks(d) == trefoil
+    assert simplify(d) == trefoil
 
 
 def test_the_one_crossing_curl_is_a_free_loop():
     for chirality in (1, -1):
-        assert remove_kinks(r1_add(UNKNOT, 0, chirality)) == UNKNOT
-    assert remove_kinks(r1_add(r1_add(UNKNOT, 0, 1), 1, -1)) == UNKNOT
+        assert simplify(r1_add(UNKNOT, 0, chirality)) == UNKNOT
+    assert simplify(r1_add(r1_add(UNKNOT, 0, 1), 1, -1)) == UNKNOT
 
 
 def test_a_kinked_link_is_returned_unchanged():
     hopf = load("hopf.pd")
     for d in (r1_add(hopf, 0, 1), r1_add(parse_gauss("O1+ U2+ ; U1+ O2+"), 1, -1)):
         assert components(d) == 2
-        assert remove_kinks(d) is d
+        assert simplify(d) is d
 
 
 def test_kink_removal_keeps_the_atom_orientable_or_not():
     for name in ("kinked_trefoil.pd", "virtual_trefoil.gauss"):
         d = r1_add(load(name), 0, -1)
-        assert orientable(build_atom(remove_kinks(d))) == orientable(build_atom(d))
+        assert orientable(build_atom(simplify(d))) == orientable(build_atom(d))
 
 
 def _kinked_knots():
@@ -93,13 +93,13 @@ def test_tables_and_certificates_ignore_kinks(args):
     assume(components(d) == 1)
     for _ in range(kinks):
         d = r1_add(d, rng.randrange(d.strand_count()), rng.choice((1, -1)))
-    assert remove_kinks(d).n < d.n
+    assert simplify(d).n < d.n
     fields = [GF2] + ([Q] if orientable(build_atom(d)) else [])
     for name in fields:
         assert kh_table(d, name).entries == homology(build_complex(d, name)).entries
     simplified = certify(d).to_json_dict()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kmc.minimality, "remove_kinks", lambda d: d)
+        mp.setattr(kmc.minimality, "simplify", lambda d: d)
         assert simplified == certify(d).to_json_dict()
 
 
@@ -107,7 +107,7 @@ def test_tables_and_certificates_ignore_kinks(args):
     "change",
     [
         lambda d: Diagram(d.n, d.arcs, d.free_loops + 1),
-        lambda d: mirror(remove_kinks(d)),
+        lambda d: mirror(simplify(d)),
     ],
     ids=["free_loop", "mirror"],
 )
@@ -115,7 +115,7 @@ def test_tables_and_certificates_ignore_kinks(args):
 def test_a_wrong_simplification_is_caught(monkeypatch, change, name):
     """The tables of the simplified diagram must give the bracket of the
     diagram as given; the trefoil is chiral, so its mirror fails too."""
-    monkeypatch.setattr(kmc.minimality, "remove_kinks", change)
+    monkeypatch.setattr(kmc.minimality, "simplify", change)
     for fields in (None, [GF2]):
         with pytest.raises(InvariantError, match="Euler characteristic"):
             certify(load(name), fields)

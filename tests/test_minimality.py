@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import FIXTURES, load
-from kmc.diagram import Diagram, parse_gauss, r1_add, remove_kinks, virtualize
+from kmc.diagram import Diagram, parse_gauss, r1_add, r2_add, simplify, virtualize
 from kmc.errors import DiagramError, TableError, UnsupportedFieldError
 from kmc.generate import braid_closure, random_classical_diagram, random_virtual_diagram
 from kmc.khovanov import GF2, KhTable, Q, load_table
@@ -87,13 +87,15 @@ def test_one_cube_pass_per_command(cube_walks):
         cube_walks.clear()
         run()
         assert cube_walks == [(kind, d) for kind in kinds]
-    # a kinked knot: the cube of the kink-free diagram, then d's bracket
-    kinked = load("kinked_trefoil.pd")
-    simple = remove_kinks(kinked)
-    assert simple.n == 3
-    cube_walks.clear()
-    certify(kinked)
-    assert cube_walks == [("labelled", simple), ("walker", simple), ("counting", kinked)]
+    # a kinked knot and a knot with a bigon: the cube of the simplified
+    # diagram, then d's bracket
+    trefoil = load("trefoil.pd")
+    for given in (load("kinked_trefoil.pd"), r2_add(trefoil, 0, 2)):
+        simple = simplify(given)
+        assert simple == trefoil
+        cube_walks.clear()
+        certify(given)
+        assert cube_walks == [("labelled", simple), ("walker", simple), ("counting", given)]
 
 
 def test_disconnected_rejected():
