@@ -33,9 +33,11 @@ class LimitError(KmcError):
 
 def resolve_limit(explicit: int | None, default: int) -> int:
     """The explicit limit, else the KMC_MAX_CROSSINGS environment value,
-    which must be a positive integer (as ``--max-crossings`` must), else
-    default."""
+    else default.  Either given limit must be a positive integer, as
+    ``--max-crossings`` must."""
     if explicit is not None:
+        if explicit <= 0:
+            raise LimitError(f"bad max_crossings value {explicit!r}")
         return explicit
     env = os.environ.get(ENV_LIMIT)
     if env is None:

@@ -100,19 +100,16 @@ Column = list[tuple[int, int]]
 
 @dataclass
 class KhComplex:
-    """Cube complex of a diagram over one coefficient field.
+    """Cube complex of a diagram over one coefficient field: its blocks
+    and their GF(2) ranks, nothing else.
 
     The basis of C at (t, q), its (state, label mask) pairs by state and
     then by mask (bit i set: circle i carries v+), is not stored; block
     (t, q) has one column per element, so its length is dim C(t, q)."""
 
     field: str
-    n_plus: int
-    n_minus: int
     # (t, q) -> one column per basis element, mapping into (t+1, q)
     blocks: dict[tuple[int, int], list[Column]]
-    # (B-smoothings, circles) -> number of states, the bracket's state sum
-    state_counts: dict[tuple[int, int], int]
     # (t, q) -> GF(2) rank of the nonempty block leaving (t, q) reduced
     # mod 2; filled by ``build_complex``
     gf2_ranks: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -363,7 +360,7 @@ def _skeleton(d: Diagram, n_plus: int, n_minus: int, field: str) -> KhComplex:
                 cols[m].append(to[t])
         for block, a, b in spans[s.bit_count(), k]:
             block.extend(cols[a:b])
-    return KhComplex(field, n_plus, n_minus, blocks, counts)
+    return KhComplex(field, blocks)
 
 
 def _edge_program(

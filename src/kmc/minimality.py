@@ -19,16 +19,11 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import khovanov as kh
+from . import statesum
 from .atom import GenusValue, build_atom, genus as atom_genus
 from .diagram import Diagram, crossing_signs, is_connected, orient, simplify
 from .errors import DiagramError, InvariantError, TableError, UnsupportedFieldError
 from .laurent import LOOP, Laurent
-from .statesum import (
-    bracket_completeness,
-    bracket_from_counts,
-    check_census_limit,
-    kauffman_bracket,
-)
 
 __all__ = ["FieldReport", "Certificate", "certify", "certify_from_table"]
 
@@ -131,14 +126,12 @@ def certify(
     when the rationals are requested (its entries mod 2 give the GF(2)
     table), else over GF(2).  The atom, n, chi, the genus, the writhe
     and the bracket are those of d, and so is the orientability that
-    decides whether the rationals are available.  When nothing was
-    removed the bracket comes from the complex's state counts, so the
-    cube is walked once; otherwise from one counting pass over d.
-    Either way the tables' graded Euler characteristic must give d's
-    bracket, which checks the simplification.  Every limit is checked
-    before the first pass: the Khovanov limits on the diagram whose cube
-    is built, the census limit on d when its bracket needs a counting
-    pass of its own.
+    decides whether the rationals are available.  The bracket comes from
+    one counting pass over d, before the complex's labelled pass; the
+    tables' graded Euler characteristic must give it, which checks the
+    simplification and the labelled pass against an independent pass.
+    Every limit is checked before the first pass: the Khovanov limits on
+    ``simplify(d)``, then the census limit on d.
     """
     if not is_connected(d):
         raise DiagramError(
@@ -157,16 +150,9 @@ def certify(
     simple = simplify(d)
     for name in fields:
         kh.check_field(simple, name, max_crossings=max_crossings)
-    if simple is not d:
-        check_census_limit(d, max_crossings)
-    over = kh.Q if kh.Q in fields else kh.GF2
-    complex_ = kh.build_complex(simple, over, max_crossings=max_crossings)
-    if simple is d:
-        bracket = bracket_from_counts(d, complex_.state_counts)
-    else:
-        bracket = kauffman_bracket(d, max_crossings=max_crossings)
+    bracket = statesum.kauffman_bracket(d, max_crossings=max_crossings)
     chi = atom.chi
-    strict, details = bracket_completeness(d, bracket, chi)
+    strict, details = statesum.bracket_completeness(d, bracket, chi)
     if bracket and details["span"] > details["bound"]:
         raise InvariantError(
             f"bracket span {details['span']} above 4n + 2(chi - 2) = {details['bound']}"
@@ -180,6 +166,8 @@ def certify(
         f" -> strict 1-completeness {'holds' if strict else 'fails'}",
     ]
 
+    over = kh.Q if kh.Q in fields else kh.GF2
+    complex_ = kh.build_complex(simple, over, max_crossings=max_crossings)
     tables = {
         name: kh.homology(complex_, name) for name in (kh.GF2, kh.Q) if name in fields
     }

@@ -36,7 +36,6 @@ __all__ = [
     "label_states",
     "circle_counts",
     "check_census_limit",
-    "bracket_from_counts",
     "kauffman_bracket",
     "span_bound",
     "bracket_completeness",
@@ -173,21 +172,16 @@ def check_census_limit(d: Diagram, max_crossings: int | None = None) -> None:
         raise LimitError(f"diagram has {d.n} crossings; census limit is {limit}")
 
 
-def bracket_from_counts(d: Diagram, counts: dict[tuple[int, int], int]) -> Laurent:
-    """The bracket from a (B-smoothings, circles) histogram of the states."""
+def kauffman_bracket(d: Diagram, *, max_crossings: int | None = None) -> Laurent:
+    """The bracket polynomial in A, unknot normalized to 1, from one
+    counting pass's (B-smoothings, circles) histogram; the census limit
+    is checked first."""
+    check_census_limit(d, max_crossings)
+    counts = Counter((s.bit_count(), k) for s, k in enumerate(circle_counts(d)))
     total = Laurent.zero()
     for (r, circles), count in sorted(counts.items()):
         total = total + Laurent.term(count, d.n - 2 * r) * LOOP ** (circles - 1)
     return total
-
-
-def kauffman_bracket(d: Diagram, *, max_crossings: int | None = None) -> Laurent:
-    """The bracket polynomial in A, unknot normalized to 1, from one
-    counting pass; the census limit is checked first."""
-    check_census_limit(d, max_crossings)
-    return bracket_from_counts(
-        d, Counter((s.bit_count(), k) for s, k in enumerate(circle_counts(d)))
-    )
 
 
 def span_bound(d: Diagram, chi: int) -> int:

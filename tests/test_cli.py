@@ -469,3 +469,32 @@ def test_one_parser_per_process(capsys, monkeypatch):
         assert len(built) == 1 + len(calls)
     finally:
         cli._shared_parser.cache_clear()
+
+
+def test_input_errors_exit_1_in_one_line(capsys, tmp_path):
+    """Bad arguments and bad tables that argparse cannot see: exit 1,
+    nothing on stdout, one ``kmc: `` line on stderr."""
+    trefoil = str(FIXTURES / "trefoil.pd")
+    good = [{"t": 0, "q": 1, "dim": 1}, {"t": 0, "q": -1, "dim": 1}]
+    tables = {
+        "fieldonly": ({"field": "q"}, "no homology table found"),
+        "duplicate": ({"field": "q", "entries": good + good[:1]}, "duplicate table entry"),
+        "nodim": ({"field": "q", "entries": [{"t": 0, "q": 1}]}, "bad table entry"),
+        "booldim": ({"field": "q", "entries": [{**good[0], "dim": True}]}, "must be integers"),
+    }
+    cases = [
+        (["batch", trefoil], "is not a directory"),
+        (["certify", trefoil, "--fields", "gf2,z"], "unknown field 'z'"),
+        (
+            ["certify-table", str(FIXTURES / "13n3663_khq.json"), "--n", "-1"],
+            "crossing count must be non-negative",
+        ),
+    ]
+    for name, (data, message) in tables.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        cases.append((["certify-table", str(path), "--n", "3"], message))
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert_one_line_error(code, err)
+        assert message in err and out == "", argv

@@ -94,6 +94,28 @@ def test_empty_diagram_rejected():
         Diagram(0, (), 0)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((-1, ()), "crossing and loop counts must be non-negative"),
+        ((0, (), -1), "crossing and loop counts must be non-negative"),
+        ((1, ((0, 0), (1, 2), (3, 3))), "port 0 matched to itself"),
+        ((1, ((0, 1), (2, 4))), "port 4 out of range"),
+        ((1, ((0, 1), (1, 2), (2, 3))), "port 1 appears in two arcs"),
+        ((1, ((0, 1),)), "port 2 not matched by any arc"),
+        ((0, ()), "empty diagram; represent the unknot as a single free loop"),
+    ],
+    ids=[
+        "negative_n", "negative_loops", "self_matched", "out_of_range", "two_arcs",
+        "unmatched", "empty",
+    ],
+)
+def test_diagram_validation_messages(args, message):
+    with pytest.raises(DiagramError) as info:
+        Diagram(*args)
+    assert str(info.value) == message
+
+
 def test_render_parse_roundtrip_fixtures():
     for name in ["trefoil.pd", "figure8.pd", "hopf.pd", "unknot.pd"]:
         d = load(name)

@@ -69,33 +69,35 @@ def test_empty_field_list_is_rejected(no_cube_walk):
 
 
 def test_one_cube_pass_per_command(cube_walks):
-    """certify makes one labelled pass (one walker), is_1_complete and the
-    census one counting pass (no walker); a, b and chi come from the atom,
-    which walks the circles of two states, all-A and all-B, by itself: not
-    the cube, and no walker."""
+    """certify makes one counting pass over the diagram as given, for its
+    bracket, then one labelled pass (one walker) over ``simplify(d)``, for
+    its complex; is_1_complete and the census one counting pass (no
+    walker).  a, b and chi come from the atom, which walks the circles of
+    two states, all-A and all-B, by itself: not the cube, and no walker."""
     from kmc.single_circle import single_circle_census
     from kmc.statesum import is_1_complete
 
     d = load("6_2.pd")
+    assert simplify(d) is d
     for run, kinds in (
-        (lambda: certify(d), ["labelled", "walker"]),
-        (lambda: certify(d, [GF2]), ["labelled", "walker"]),
-        (lambda: certify(d, [Q]), ["labelled", "walker"]),
+        (lambda: certify(d), ["counting", "labelled", "walker"]),
+        (lambda: certify(d, [GF2]), ["counting", "labelled", "walker"]),
+        (lambda: certify(d, [Q]), ["counting", "labelled", "walker"]),
         (lambda: is_1_complete(d), ["counting"]),
         (lambda: single_circle_census(d), ["counting"]),
     ):
         cube_walks.clear()
         run()
         assert cube_walks == [(kind, d) for kind in kinds]
-    # a kinked knot and a knot with a bigon: the cube of the simplified
-    # diagram, then d's bracket
+    # a kinked knot and a knot with a bigon: d's bracket, then the cube of
+    # the simplified diagram
     trefoil = load("trefoil.pd")
     for given in (load("kinked_trefoil.pd"), r2_add(trefoil, 0, 2)):
         simple = simplify(given)
         assert simple == trefoil
         cube_walks.clear()
         certify(given)
-        assert cube_walks == [("labelled", simple), ("walker", simple), ("counting", given)]
+        assert cube_walks == [("counting", given), ("labelled", simple), ("walker", simple)]
 
 
 def test_disconnected_rejected():
@@ -253,6 +255,22 @@ def test_limits_are_checked_before_the_cube_is_walked(no_cube_walk, monkeypatch)
             count(d)
 
 
+@pytest.mark.parametrize("limit", [0, -3])
+def test_a_non_positive_limit_is_refused(no_cube_walk, limit):
+    """An explicit limit below 1 is a bad value, refused in one line
+    before any pass, as a bad KMC_MAX_CROSSINGS is."""
+    from kmc.errors import LimitError
+    from kmc.khovanov import kh_table
+    from kmc.single_circle import single_circle_census
+    from kmc.statesum import kauffman_bracket
+
+    for d in (load("trefoil.pd"), UNKNOT):
+        for run in (certify, kh_table, kauffman_bracket, single_circle_census):
+            with pytest.raises(LimitError) as info:
+                run(d, max_crossings=limit)
+            assert str(info.value) == f"bad max_crossings value {limit}"
+
+
 def _patched_tables(monkeypatch, change):
     """Route every table certify computes through change(table)."""
     import kmc.khovanov as kh
@@ -272,6 +290,31 @@ def test_invariant_euler_characteristic(monkeypatch):
     _patched_tables(monkeypatch, drop_one)
     with pytest.raises(InvariantError, match="Euler characteristic over gf2"):
         certify(load("trefoil.pd"))
+
+
+def test_a_wrong_labelled_pass_is_caught(monkeypatch):
+    """The bracket comes from a counting pass of its own, so the Euler
+    check sees a labelled pass gone wrong on a diagram that simplify
+    leaves alone.  Here state 7 takes state 11's labels: d.d = 0 still
+    holds, and the GF(2) table gets 8 entries instead of 6."""
+    import kmc.khovanov as kh
+    from kmc.diagram import parse_pd
+    from kmc.errors import InvariantError
+
+    d = parse_pd("X 1 2 3 4\nX 5 3 1 2\nX 6 4 7 8\nX 8 6 7 5\n")
+    assert simplify(d) is d and len(certify(d).fields[GF2].entries) == 6
+    real = kh.label_states
+
+    def state_7_as_11(d):
+        labels = real(d)
+        labels[7] = labels[11]
+        return labels
+
+    monkeypatch.setattr(kh, "label_states", state_7_as_11)
+    with pytest.raises(
+        InvariantError, match="graded Euler characteristic over gf2 is not the bracket"
+    ):
+        certify(d)
 
 
 def test_invariant_gf2_at_least_q(monkeypatch):
@@ -301,15 +344,15 @@ def test_invariant_thickness(monkeypatch):
 
 
 def test_invariant_bracket_span(monkeypatch):
-    import kmc.minimality
+    import kmc.statesum
     from kmc.errors import InvariantError
     from kmc.laurent import Laurent
 
-    real = kmc.minimality.bracket_from_counts
+    real = kmc.statesum.kauffman_bracket
     monkeypatch.setattr(
-        kmc.minimality,
-        "bracket_from_counts",
-        lambda d, counts: real(d, counts) + Laurent.term(1, 99),
+        kmc.statesum,
+        "kauffman_bracket",
+        lambda d, **kwargs: real(d, **kwargs) + Laurent.term(1, 99),
     )
     with pytest.raises(InvariantError, match="bracket span"):
         certify(load("trefoil.pd"))
