@@ -34,11 +34,9 @@ from .khovanov import (
     KhComplex,
     KhTable,
     Q,
-    broad_1_complete,
     build_complex,
     graded_euler_characteristic,
     homology,
-    is_2_complete,
     kh_table,
     load_table,
     q_span,
@@ -49,7 +47,6 @@ from .minimality import Certificate, FieldReport, certify, certify_from_table
 from .single_circle import SingleCircleCensus, single_circle_census
 from .statesum import (
     circles_of_state,
-    is_1_complete,
     kauffman_bracket,
     span_bound,
     state_circles,

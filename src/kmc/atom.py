@@ -83,9 +83,7 @@ class GenusValue:
         return Fraction(self.twice_genus, 2)
 
     def __str__(self) -> str:
-        if self.twice_genus % 2 == 0:
-            return str(self.twice_genus // 2)
-        return f"{self.twice_genus}/2"
+        return str(self.value)
 
 
 def _cell_crossings(d: Diagram, step: int) -> list[int]:

@@ -24,9 +24,9 @@ from . import khovanov as kh
 from .atom import build_atom, genus as atom_genus
 from .diagram import Diagram, parse_gauss, parse_pd
 from .errors import KmcError, ParseError
-from .minimality import MINIMAL, certify, certify_from_table
+from .minimality import MINIMAL, _strict_1_complete, certify, certify_from_table
 from .single_circle import single_circle_census
-from .statesum import is_1_complete
+from .statesum import kauffman_bracket
 
 __all__ = ["main"]
 
@@ -66,22 +66,22 @@ def _print_json(data: dict) -> None:
 
 def _cmd_bracket(args: argparse.Namespace) -> int:
     d = load_diagram(args.file)
-    strict, details = is_1_complete(d, max_crossings=args.max_crossings)
-    poly = details["bracket"]
+    poly = kauffman_bracket(d, max_crossings=args.max_crossings)
+    span, bound, strict = _strict_1_complete(d, poly, build_atom(d).chi)
     if args.json:
         _print_json(
             {
                 "schema": 1,
                 "terms": {str(e): c for e, c in poly.terms()},
-                "span": details["span"],
-                "bound": details["bound"],
+                "span": span,
+                "bound": bound,
                 "one_complete": strict,
             }
         )
     else:
         print(f"bracket: {poly.format('A')}")
-        print(f"span: {details['span']}")
-        print(f"bound: {details['bound']}")
+        print(f"span: {span}")
+        print(f"bound: {bound}")
         print(f"1-complete: {'yes' if strict else 'no'}")
     return 0
 

@@ -62,7 +62,6 @@ from itertools import accumulate
 from math import comb
 from pathlib import Path
 
-from .atom import GenusValue
 from .diagram import Diagram, crossing_components, crossing_signs, orient, simplify
 from .errors import LimitError, TableError, UnsupportedFieldError, resolve_limit
 from .laurent import Laurent
@@ -81,8 +80,6 @@ __all__ = [
     "kh_table",
     "thickness",
     "q_span",
-    "broad_1_complete",
-    "is_2_complete",
     "load_table",
     "graded_euler_characteristic",
 ]
@@ -521,17 +518,6 @@ def json_number(x: Fraction) -> int | float:
 
 def q_span(tab: KhTable) -> int:
     return tab.q_max() - tab.q_min()
-
-
-def broad_1_complete(tab: KhTable, n: int, chi: int) -> bool:
-    """Whether the q-span attains its upper bound 2n + chi."""
-    return q_span(tab) == 2 * n + chi
-
-
-def is_2_complete(tab: KhTable, g: GenusValue) -> bool:
-    """Whether the diagonal count attains genus + 2 (exact, half-integers
-    included: compares 2*thickness with twice_genus + 4)."""
-    return tab.diagonal_spread() + 2 == g.twice_genus + 4
 
 
 def graded_euler_characteristic(tab: KhTable) -> Laurent:

@@ -5,7 +5,10 @@ A diagram is certified MINIMAL when it is 1-complete (the bracket span
 attains 4n + 2(chi - 2), or, in the broad sense, the Khovanov q-span
 attains 2n + chi over some field) and 2-complete (the diagonal count of
 some Khovanov table attains genus + 2).  Failing the conditions proves
-nothing, so the only other verdict is INCONCLUSIVE.
+nothing, so the only other verdict is INCONCLUSIVE.  Each of the three
+is an upper bound, and ``_attains`` alone compares a value with its
+bound: a value above it breaks a theorem and is an error, never a
+verdict.
 
 The table-only path runs the same argument from a homology table and a
 crossing count alone: the diagonal count bounds the genus from below,
@@ -15,14 +18,14 @@ the genus and both conditions at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import khovanov as kh
 from . import statesum
-from .atom import GenusValue, build_atom, genus as atom_genus
+from .atom import build_atom, genus as atom_genus
 from .diagram import Diagram, crossing_signs, is_connected, orient, simplify
-from .errors import DiagramError, InvariantError, TableError, UnsupportedFieldError
+from .errors import DiagramError, InvariantError, KmcError, TableError, UnsupportedFieldError
 from .laurent import LOOP, Laurent
 
 __all__ = ["FieldReport", "Certificate", "certify", "certify_from_table"]
@@ -33,28 +36,39 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 @dataclass(frozen=True)
 class FieldReport:
-    """Khovanov-side numbers for one coefficient field."""
+    """One field's Khovanov table and whether it attains the q-span
+    bound 2n + chi and the thickness bound genus + 2; the numbers are
+    read off the table."""
 
     field: str
     entries: dict[tuple[int, int], int]
-    thickness: Fraction
-    q_span: int
-    q_min: int
-    q_max: int
     broad_1_complete: bool
     two_complete: bool
 
-    @classmethod
-    def of(cls, tab: kh.KhTable, broad: bool, two: bool) -> "FieldReport":
-        return cls(
-            tab.field, dict(tab.entries), kh.thickness(tab), kh.q_span(tab),
-            tab.q_min(), tab.q_max(), broad, two,
-        )
+    @property
+    def table(self) -> kh.KhTable:
+        return kh.KhTable(self.field, self.entries)
+
+    @property
+    def thickness(self) -> Fraction:
+        return kh.thickness(self.table)
+
+    @property
+    def q_span(self) -> int:
+        return kh.q_span(self.table)
+
+    @property
+    def q_min(self) -> int:
+        return self.table.q_min()
+
+    @property
+    def q_max(self) -> int:
+        return self.table.q_max()
 
     def to_json_dict(self) -> dict:
         return {
             "field": self.field,
-            "entries": kh.KhTable(self.field, self.entries).to_json_dict()["entries"],
+            "entries": self.table.to_json_dict()["entries"],
             "thickness": kh.json_number(self.thickness),
             "q_span": self.q_span,
             "q_min": self.q_min,
@@ -67,7 +81,9 @@ class FieldReport:
 @dataclass(frozen=True)
 class Certificate:
     """Verdict record; verdict is MINIMAL iff (strict or broad
-    1-completeness) holds together with 2-completeness."""
+    1-completeness) holds together with 2-completeness.  The Khovanov
+    side is read off the field reports, and ``steps`` is the reasoning
+    up to the verdict line."""
 
     n: int
     chi: int | None
@@ -77,16 +93,29 @@ class Certificate:
     bracket_span: int | None
     span_bound: int | None
     strict_1_complete: bool | None
-    broad_1_complete: bool
-    two_complete: bool
-    thickness: Fraction
-    fields: dict[str, FieldReport] = field(default_factory=dict)
-    reasoning: tuple[str, ...] = ()
+    fields: dict[str, FieldReport]
+    steps: tuple[str, ...]
+
+    @property
+    def broad_1_complete(self) -> bool:
+        return any(rep.broad_1_complete for rep in self.fields.values())
+
+    @property
+    def two_complete(self) -> bool:
+        return any(rep.two_complete for rep in self.fields.values())
+
+    @property
+    def thickness(self) -> Fraction:
+        return max(rep.thickness for rep in self.fields.values())
 
     @property
     def verdict(self) -> str:
         one_complete = bool(self.strict_1_complete) or self.broad_1_complete
         return MINIMAL if one_complete and self.two_complete else INCONCLUSIVE
+
+    @property
+    def reasoning(self) -> tuple[str, ...]:
+        return (*self.steps, f"verdict: {self.verdict}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -106,6 +135,52 @@ class Certificate:
             "verdict": self.verdict,
             "reasoning": list(self.reasoning),
         }
+
+
+def _attains(
+    value: int | Fraction, bound: int | Fraction, message: str, error: type[KmcError] = InvariantError
+) -> bool:
+    """Whether value attains the paper's upper bound on it.  A value
+    above the bound contradicts the bound's theorem, so it raises error
+    with message instead."""
+    if value > bound:
+        raise error(message)
+    return value == bound
+
+
+def _strict_1_complete(d: Diagram, bracket: Laurent, chi: int) -> tuple[int | None, int, bool]:
+    """The span of d's bracket (None for a zero bracket), its bound
+    4n + 2(chi - 2) with chi that of d's atom, and whether the span
+    attains the bound: strict 1-completeness."""
+    span = bracket.span() if bracket else None
+    bound = statesum.span_bound(d, chi)
+    message = f"bracket span {span} above 4n + 2(chi - 2) = {bound}"
+    return span, bound, span is not None and _attains(span, bound, message)
+
+
+def _report(
+    tab: kh.KhTable, n: int, chi: int, genus: Fraction, error: type[KmcError]
+) -> tuple[FieldReport, str, str]:
+    """Decide 2-completeness (thickness against genus + 2) and then broad
+    1-completeness (q-span against 2n + chi) for one table; the report
+    and the two reasoning lines."""
+    thick, span, bound = kh.thickness(tab), kh.q_span(tab), 2 * n + chi
+    two = _attains(
+        thick, genus + 2,
+        f"thickness over {tab.field} is {thick}, above genus + 2 = {genus + 2}", error,
+    )
+    broad = _attains(
+        span, bound,
+        f"q-span {span} exceeds 2n + chi = {bound}; the table cannot come"
+        f" from an {n}-crossing diagram with chi = {chi}", error,
+    )
+    return (
+        FieldReport(tab.field, dict(tab.entries), broad, two),
+        f"q-span = {span} (q in [{tab.q_min()}, {tab.q_max()}]), bound 2n + chi ="
+        f" {bound} -> broad 1-completeness {'holds' if broad else 'fails'}",
+        f"thickness {thick} vs genus + 2 = {genus + 2} -> 2-completeness"
+        f" {'holds' if two else 'fails'}",
+    )
 
 
 def certify(
@@ -152,17 +227,13 @@ def certify(
         kh.check_field(simple, name, max_crossings=max_crossings)
     bracket = statesum.kauffman_bracket(d, max_crossings=max_crossings)
     chi = atom.chi
-    strict, details = statesum.bracket_completeness(d, bracket, chi)
-    if bracket and details["span"] > details["bound"]:
-        raise InvariantError(
-            f"bracket span {details['span']} above 4n + 2(chi - 2) = {details['bound']}"
-        )
+    span, bound, strict = _strict_1_complete(d, bracket, chi)
 
-    reasoning = [
+    steps = [
         f"n = {d.n} classical crossings",
         f"atom: chi = {chi}, {'orientable' if g.orientable else 'non-orientable'},"
         f" genus = {g}",
-        f"bracket span = {details['span']}, bound 4n + 2(chi - 2) = {details['bound']}"
+        f"bracket span = {span}, bound 4n + 2(chi - 2) = {bound}"
         f" -> strict 1-completeness {'holds' if strict else 'fails'}",
     ]
 
@@ -172,65 +243,40 @@ def certify(
         name: kh.homology(complex_, name) for name in (kh.GF2, kh.Q) if name in fields
     }
     n_plus, n_minus = crossing_signs(d, orient(d))
-    _check_tables(tables, bracket, n_plus - n_minus, g)
+    _check_tables(tables, bracket, n_plus - n_minus)
     reports: dict[str, FieldReport] = {}
     for name in fields:
-        table = tables[name]
-        broad = kh.broad_1_complete(table, d.n, chi)
-        two = kh.is_2_complete(table, g)
-        rep = reports[name] = FieldReport.of(table, broad, two)
-        reasoning.append(
-            f"kh[{name}]: thickness = {rep.thickness}, q-span = {rep.q_span}"
-            f" (q in [{rep.q_min}, {rep.q_max}]), bound 2n + chi ="
-            f" {2 * d.n + chi} -> broad 1-completeness"
-            f" {'holds' if broad else 'fails'}"
+        rep, span_line, thickness_line = _report(
+            tables[name], d.n, chi, g.value, InvariantError
         )
-        reasoning.append(
-            f"kh[{name}]: thickness {rep.thickness} vs genus + 2 ="
-            f" {g.value + 2} -> 2-completeness"
-            f" {'holds' if two else 'fails'}"
-        )
+        reports[name] = rep
+        steps.append(f"kh[{name}]: thickness = {rep.thickness}, {span_line}")
+        steps.append(f"kh[{name}]: {thickness_line}")
 
-    broad_any = any(rep.broad_1_complete for rep in reports.values())
-    two_any = any(rep.two_complete for rep in reports.values())
-    thickness = max(rep.thickness for rep in reports.values())
-
-    cert = Certificate(
+    return Certificate(
         n=d.n,
         chi=chi,
         twice_genus=g.twice_genus,
         genus_is_lower_bound=False,
         orientable=g.orientable,
-        bracket_span=details["span"],
-        span_bound=details["bound"],
+        bracket_span=span,
+        span_bound=bound,
         strict_1_complete=strict,
-        broad_1_complete=broad_any,
-        two_complete=two_any,
-        thickness=thickness,
         fields=reports,
-        reasoning=tuple(reasoning),
+        steps=tuple(steps),
     )
-    reasoning.append(f"verdict: {cert.verdict}")
-    return replace(cert, reasoning=tuple(reasoning))
 
 
-def _check_tables(
-    tables: dict[str, kh.KhTable], bracket: Laurent, writhe: int, g: GenusValue
-) -> None:
-    """The paper's identities the tables must meet: the graded Euler
-    characteristic of each at q = -A^-2 is (-A^2 - A^-2)(-A^3)^-w <D>,
-    each thickness is at most genus + 2, and GF(2) dimensions are at
-    least the rational ones."""
+def _check_tables(tables: dict[str, kh.KhTable], bracket: Laurent, writhe: int) -> None:
+    """The paper's identities the tables must meet besides the bounds:
+    the graded Euler characteristic of each at q = -A^-2 is
+    (-A^2 - A^-2)(-A^3)^-w <D>, and GF(2) dimensions are at least the
+    rational ones."""
     euler = LOOP * Laurent.term(-1 if writhe % 2 else 1, -3 * writhe) * bracket
     for name, tab in tables.items():
         if kh.graded_euler_characteristic(tab).substitute_signed_power(-1, -2) != euler:
             raise InvariantError(
                 f"graded Euler characteristic over {name} is not the bracket"
-            )
-        if kh.thickness(tab) > g.value + 2:
-            raise InvariantError(
-                f"thickness over {name} is {kh.thickness(tab)},"
-                f" above genus + 2 = {g.value + 2}"
             )
     if kh.GF2 in tables and kh.Q in tables:
         gf2 = tables[kh.GF2].entries
@@ -248,8 +294,8 @@ def certify_from_table(
     chi is at most 2 - 2(T - 2); if the q-span attains 2n + chi for that
     extremal chi, the genus bound is tight and both completeness
     conditions hold.  A chi_hint smaller than the extremal value is
-    honoured (a genuinely higher-genus diagram); a larger one is
-    inconsistent with the table.
+    honoured (a genuinely higher-genus diagram); a larger one, or a
+    q-span above 2n + chi, is inconsistent with the table.
     """
     if not tab.entries:
         raise TableError("empty homology table")
@@ -258,7 +304,7 @@ def certify_from_table(
     thick = kh.thickness(tab)
     twice_genus_min = max(0, tab.diagonal_spread() - 2)  # 2T - 4, genus >= 0
     chi_eff = 2 - twice_genus_min
-    reasoning = [
+    steps = [
         f"n = {n} classical crossings (given)",
         f"table[{tab.field}]: thickness = {thick}",
         f"thickness bounds the genus below: 2g >= 2T - 4 = {twice_genus_min}",
@@ -270,47 +316,22 @@ def certify_from_table(
                 f" characteristic compatible with {thick} diagonals"
             )
         chi_used = chi_hint
-        reasoning.append(f"using provided chi = {chi_hint}")
+        steps.append(f"using provided chi = {chi_hint}")
     else:
         chi_used = chi_eff
-        reasoning.append(f"assuming the extremal chi = 2 - (2T - 4) = {chi_eff}")
-    twice_genus_used = 2 - chi_used
-    two = tab.diagonal_spread() + 2 == twice_genus_used + 4
-
-    span = kh.q_span(tab)
-    bound = 2 * n + chi_used
-    if span > bound:
-        raise TableError(
-            f"q-span {span} exceeds 2n + chi = {bound}; the table cannot come"
-            f" from an {n}-crossing diagram with chi = {chi_used}"
-        )
-    broad = span == bound
-    reasoning.append(
-        f"q-span = {span} (q in [{tab.q_min()}, {tab.q_max()}]),"
-        f" bound 2n + chi = {bound} -> broad 1-completeness"
-        f" {'holds' if broad else 'fails'}"
+        steps.append(f"assuming the extremal chi = 2 - (2T - 4) = {chi_eff}")
+    rep, span_line, thickness_line = _report(
+        tab, n, chi_used, Fraction(2 - chi_used, 2), TableError
     )
-    reasoning.append(
-        f"thickness {thick} vs genus + 2 ="
-        f" {Fraction(twice_genus_used, 2) + 2} -> 2-completeness"
-        f" {'holds' if two else 'fails'}"
-    )
-
-    report = FieldReport.of(tab, broad, two)
-    cert = Certificate(
+    return Certificate(
         n=n,
         chi=chi_used,
-        twice_genus=twice_genus_used,
+        twice_genus=2 - chi_used,
         genus_is_lower_bound=chi_hint is None,
         orientable=None,
         bracket_span=None,
         span_bound=None,
         strict_1_complete=None,
-        broad_1_complete=broad,
-        two_complete=two,
-        thickness=thick,
-        fields={tab.field: report},
-        reasoning=tuple(reasoning),
+        fields={tab.field: rep},
+        steps=(*steps, span_line, thickness_line),
     )
-    reasoning.append(f"verdict: {cert.verdict}")
-    return replace(cert, reasoning=tuple(reasoning))

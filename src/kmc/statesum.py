@@ -25,7 +25,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 
-from .atom import build_atom
 from .diagram import Diagram
 from .errors import LimitError, resolve_limit
 from .laurent import LOOP, Laurent
@@ -38,8 +37,6 @@ __all__ = [
     "check_census_limit",
     "kauffman_bracket",
     "span_bound",
-    "bracket_completeness",
-    "is_1_complete",
 ]
 
 DEFAULT_MAX_CENSUS = 24
@@ -187,24 +184,3 @@ def kauffman_bracket(d: Diagram, *, max_crossings: int | None = None) -> Laurent
 def span_bound(d: Diagram, chi: int) -> int:
     """Upper bound 4n + 2(chi - 2) for the bracket span."""
     return 4 * d.n + 2 * (chi - 2)
-
-
-def bracket_completeness(d: Diagram, bracket: Laurent, chi: int) -> tuple[bool, dict]:
-    """Whether the span of the given bracket of d attains 4n + 2(chi - 2),
-    with chi the Euler characteristic of d's atom.
-
-    Returns the verdict and the numbers that went into it, the bracket
-    included.
-    """
-    span = bracket.span() if bracket else None
-    bound = span_bound(d, chi)
-    details = {"span": span, "bound": bound, "n": d.n, "chi": chi, "bracket": bracket}
-    return span == bound, details
-
-
-def is_1_complete(d: Diagram, *, max_crossings: int | None = None) -> tuple[bool, dict]:
-    """Whether the bracket span attains 4n + 2(chi - 2); see
-    ``bracket_completeness``.  The census limit is checked before the
-    counting pass starts."""
-    bracket = kauffman_bracket(d, max_crossings=max_crossings)
-    return bracket_completeness(d, bracket, build_atom(d).chi)

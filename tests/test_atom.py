@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from conftest import load
-from kmc.atom import build_atom, genus, orientable
+from kmc.atom import GenusValue, build_atom, genus, orientable
 from kmc.diagram import (
     Diagram,
     is_connected,
@@ -43,6 +43,10 @@ def test_virtual_trefoil_atom():
     g = genus(a)
     assert g.twice_genus == 1
     assert str(g) == "1/2"
+
+
+def test_genus_strings():
+    assert [str(GenusValue(twice, True)) for twice in (0, 1, 3, 4)] == ["0", "1/2", "3/2", "2"]
 
 
 def test_clasped_unlink_atom_is_torus():

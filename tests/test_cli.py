@@ -383,6 +383,22 @@ def test_certify_table_rejects_an_unknown_field(capsys, tmp_path):
     assert "unknown table field 'zz'" in err and out == ""
 
 
+def test_bracket_span_above_its_bound_is_a_one_line_error(capsys, monkeypatch):
+    """``kmc bracket`` checks the span of the bracket it prints against
+    4n + 2(chi - 2), as certify does: above it is an error, not "no"."""
+    import kmc.cli as cli
+    from kmc.laurent import Laurent
+
+    real = cli.kauffman_bracket
+    monkeypatch.setattr(
+        cli, "kauffman_bracket", lambda d, **kwargs: real(d, **kwargs) + Laurent.term(1, 99)
+    )
+    for mode in ((), ("--json",)):
+        code, out, err = run(capsys, "bracket", str(FIXTURES / "trefoil.pd"), *mode)
+        assert_one_line_error(code, err)
+        assert err == "kmc: bracket span 104 above 4n + 2(chi - 2) = 12\n" and out == ""
+
+
 def test_broken_invariant_is_a_one_line_error(capsys, tmp_path, monkeypatch):
     import kmc.khovanov as kh
 
@@ -472,12 +488,16 @@ def test_one_parser_per_process(capsys, monkeypatch):
 
 
 def test_input_errors_exit_1_in_one_line(capsys, tmp_path):
-    """Bad arguments and bad tables that argparse cannot see: exit 1,
-    nothing on stdout, one ``kmc: `` line on stderr."""
+    """Bad arguments, diagrams and tables that argparse cannot see: exit
+    1, nothing on stdout, one ``kmc: `` line on stderr."""
     trefoil = str(FIXTURES / "trefoil.pd")
+    loop = tmp_path / "loop.pd"
+    loop.write_text("loop 1\n")
     good = [{"t": 0, "q": 1, "dim": 1}, {"t": 0, "q": -1, "dim": 1}]
     tables = {
         "fieldonly": ({"field": "q"}, "no homology table found"),
+        "noentries": ({"entries": []}, "empty homology table"),
+        "entrieless": ({"fields": {"q": {"thickness": 1}}}, "no 'entries' key in table data"),
         "duplicate": ({"field": "q", "entries": good + good[:1]}, "duplicate table entry"),
         "nodim": ({"field": "q", "entries": [{"t": 0, "q": 1}]}, "bad table entry"),
         "booldim": ({"field": "q", "entries": [{**good[0], "dim": True}]}, "must be integers"),
@@ -485,6 +505,7 @@ def test_input_errors_exit_1_in_one_line(capsys, tmp_path):
     cases = [
         (["batch", trefoil], "is not a directory"),
         (["certify", trefoil, "--fields", "gf2,z"], "unknown field 'z'"),
+        (["bracket", str(loop)], "'loop' takes no arguments"),
         (
             ["certify-table", str(FIXTURES / "13n3663_khq.json"), "--n", "-1"],
             "crossing count must be non-negative",

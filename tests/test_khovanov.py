@@ -10,20 +10,18 @@ from hypothesis import assume, given, settings, strategies as st
 
 import kmc.khovanov as kh
 from conftest import FIXTURES, load
-from kmc.atom import GenusValue, build_atom, genus, orientable
+from kmc.atom import build_atom, genus, orientable
 from kmc.diagram import Diagram, crossing_signs, mirror, orient, parse_gauss, r1_add, virtualize
-from kmc.errors import LimitError, TableError, UnsupportedFieldError
+from kmc.errors import InvariantError, LimitError, TableError, UnsupportedFieldError
 from kmc.generate import random_classical_diagram, random_virtual_diagram
 from kmc.khovanov import (
     GF2,
     KhTable,
     Q,
-    broad_1_complete,
     _assert_d_squared_zero,
     _gf2_pass,
     build_complex,
     graded_euler_characteristic,
-    is_2_complete,
     kh_table,
     load_table,
     q_span,
@@ -31,7 +29,7 @@ from kmc.khovanov import (
 )
 from kmc.laurent import Laurent
 from kmc.linalg import sparse_integer_rank
-from kmc.minimality import certify
+from kmc.minimality import _report, certify
 from kmc.statesum import circles_of_state, kauffman_bracket, label_states
 
 UNKNOT = Diagram(0, (), 1)
@@ -143,13 +141,20 @@ def test_limit_env_override(monkeypatch):
     kh_table(load("trefoil.pd"), Q)
 
 
+def completeness(tab, n, chi, twice_genus):
+    """(broad 1-completeness, 2-completeness) of tab as certify decides
+    them, for n crossings, Euler characteristic chi and the genus."""
+    rep = _report(tab, n, chi, Fraction(twice_genus, 2), InvariantError)[0]
+    return rep.broad_1_complete, rep.two_complete
+
+
 def test_thickness_13n3663_fixture():
     tab = load_table(FIXTURES / "13n3663_khq.json")
     assert sum(tab.entries.values()) == 21
     assert thickness(tab) == 4
     assert q_span(tab) == 24
     assert tab.q_min() == -11 and tab.q_max() == 13
-    assert broad_1_complete(tab, 13, -2)
+    assert completeness(tab, 13, -2, 4)[0]
 
 
 def test_thickness_errors_empty():
@@ -161,20 +166,32 @@ def test_thickness_errors_empty():
 
 def test_broad_1_complete_unknot_and_kink():
     tab = kh_table(UNKNOT, Q)
-    assert broad_1_complete(tab, 0, 2)
+    assert completeness(tab, 0, 2, 0)[0]
     kinked = r1_add(load("trefoil.pd"), 0, 1)
     tab_k = kh_table(kinked, Q)
     assert q_span(tab_k) == 8
-    assert not broad_1_complete(tab_k, kinked.n, 2)
+    assert not completeness(tab_k, kinked.n, 2, 0)[0]
 
 
 def test_is_2_complete():
     tab = load_table(FIXTURES / "13n3663_khq.json")
-    assert is_2_complete(tab, GenusValue(4, True))
-    assert not is_2_complete(tab, GenusValue(6, True))
+    assert completeness(tab, 13, -2, 4)[1]
+    assert not completeness(tab, 13, -2, 6)[1]
     tre = kh_table(load("trefoil.pd"), Q)
-    assert is_2_complete(tre, GenusValue(0, True))
-    assert not is_2_complete(tre, GenusValue(2, True))
+    assert completeness(tre, 3, 2, 0)[1]
+    assert not completeness(tre, 3, 2, 2)[1]
+
+
+def test_a_table_above_a_bound_is_an_error():
+    """Thickness is checked before the q-span; either above its bound
+    raises the error given, with the numbers that broke it."""
+    tab = load_table(FIXTURES / "13n3663_khq.json")
+    with pytest.raises(InvariantError, match="thickness over q is 4, above genus \\+ 2 = 3"):
+        completeness(tab, 0, -2, 2)
+    with pytest.raises(InvariantError, match="q-span 24 exceeds 2n \\+ chi = 22"):
+        completeness(tab, 12, -2, 4)
+    with pytest.raises(TableError, match="q-span 24 exceeds"):
+        _report(tab, 12, -2, Fraction(2), TableError)
 
 
 def test_euler_characteristic_random_classical():

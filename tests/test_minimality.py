@@ -71,11 +71,14 @@ def test_empty_field_list_is_rejected(no_cube_walk):
 def test_one_cube_pass_per_command(cube_walks):
     """certify makes one counting pass over the diagram as given, for its
     bracket, then one labelled pass (one walker) over ``simplify(d)``, for
-    its complex; is_1_complete and the census one counting pass (no
+    its complex; ``kmc bracket`` and the census one counting pass (no
     walker).  a, b and chi come from the atom, which walks the circles of
     two states, all-A and all-B, by itself: not the cube, and no walker."""
+    from kmc.cli import main
     from kmc.single_circle import single_circle_census
-    from kmc.statesum import is_1_complete
+
+    def bracket_command():
+        assert main(["bracket", str(FIXTURES / "6_2.pd")]) == 0
 
     d = load("6_2.pd")
     assert simplify(d) is d
@@ -83,7 +86,7 @@ def test_one_cube_pass_per_command(cube_walks):
         (lambda: certify(d), ["counting", "labelled", "walker"]),
         (lambda: certify(d, [GF2]), ["counting", "labelled", "walker"]),
         (lambda: certify(d, [Q]), ["counting", "labelled", "walker"]),
-        (lambda: is_1_complete(d), ["counting"]),
+        (bracket_command, ["counting"]),
         (lambda: single_circle_census(d), ["counting"]),
     ):
         cube_walks.clear()
@@ -161,6 +164,15 @@ def test_table_certification_chi_hint():
         certify_from_table(tab, 3, chi_hint=0)
 
 
+def test_unknown_field_is_refused(no_cube_walk):
+    from kmc.khovanov import kh_table
+
+    d = load("trefoil.pd")
+    for run in (lambda: certify(d, ["z"]), lambda: kh_table(d, "z")):
+        with pytest.raises(UnsupportedFieldError, match="unknown field 'z'"):
+            run()
+
+
 def test_table_certification_inconsistent_span():
     tab = KhTable(Q, {(0, 30): 1, (0, -1): 1})  # q-span 31 > 2n + chi
     with pytest.raises(TableError):
@@ -234,25 +246,35 @@ def test_seven_crossing_alternating_minimal():
     assert cert.thickness == 2
 
 
-def test_limits_are_checked_before_the_cube_is_walked(no_cube_walk, monkeypatch):
+def test_limits_are_checked_before_the_cube_is_walked(
+    no_cube_walk, monkeypatch, capsys, tmp_path
+):
+    from kmc.cli import main
+    from kmc.diagram import render_pd
     from kmc.errors import LimitError
     from kmc.single_circle import single_circle_census
-    from kmc.statesum import is_1_complete, kauffman_bracket
+    from kmc.statesum import kauffman_bracket
 
     d = braid_closure(2, [1] * 17)  # T(2, 17): no kink to remove
+    path = tmp_path / "t2_17.pd"
+    path.write_text(render_pd(d))
 
     for fields in (None, [GF2], [Q], [GF2, Q]):
         with pytest.raises(LimitError):
             certify(d, fields)
     with pytest.raises(UnsupportedFieldError):
         certify(parse_gauss("O1+ O2+ U1+ U2+"), [GF2, Q])
-    for count in (kauffman_bracket, is_1_complete, single_circle_census):
+    for count in (kauffman_bracket, single_circle_census):
         with pytest.raises(LimitError, match="17 crossings; census limit is 16"):
             count(d, max_crossings=16)
+    assert main(["bracket", str(path), "--max-crossings", "16"]) == 1
+    assert capsys.readouterr().err == "kmc: diagram has 17 crossings; census limit is 16\n"
     monkeypatch.setenv("KMC_MAX_CROSSINGS", "16")
-    for count in (kauffman_bracket, is_1_complete, single_circle_census):
+    for count in (kauffman_bracket, single_circle_census):
         with pytest.raises(LimitError, match="census limit is 16"):
             count(d)
+    assert main(["bracket", str(path)]) == 1
+    assert capsys.readouterr().err == "kmc: diagram has 17 crossings; census limit is 16\n"
 
 
 @pytest.mark.parametrize("limit", [0, -3])
@@ -340,6 +362,20 @@ def test_invariant_thickness(monkeypatch):
 
     _patched_tables(monkeypatch, far_pair)
     with pytest.raises(InvariantError, match="thickness over gf2"):
+        certify(load("trefoil.pd"))
+
+
+def test_invariant_q_span(monkeypatch):
+    """A cancelling pair on the trefoil's two diagonals, far out in q,
+    keeps the Euler characteristic and the thickness but takes each
+    q-span to 28, above 2n + chi = 8: an error, not a verdict."""
+    from kmc.errors import InvariantError
+
+    def far_pair(tab):
+        return KhTable(tab.field, {**tab.entries, (10, 19): 1, (11, 19): 1})
+
+    _patched_tables(monkeypatch, far_pair)
+    with pytest.raises(InvariantError, match="q-span 28 exceeds 2n \\+ chi = 8"):
         certify(load("trefoil.pd"))
 
 

@@ -11,7 +11,6 @@ from kmc.laurent import Laurent
 from kmc.statesum import (
     circle_counts,
     circles_of_state,
-    is_1_complete,
     kauffman_bracket,
     span_bound,
     state_circles,
@@ -96,13 +95,20 @@ def test_span_bound_values():
 
 
 def test_is_1_complete():
-    strict, details = is_1_complete(load("trefoil.pd"))
-    assert strict and details["span"] == details["bound"] == 12
+    """Strict 1-completeness as certify and ``kmc bracket`` decide it:
+    (span, bound, whether the span attains the bound)."""
+    from kmc.minimality import _strict_1_complete
+
+    def strict_1_complete(d):
+        return _strict_1_complete(d, kauffman_bracket(d), build_atom(d).chi)
+
+    span, bound, strict = strict_1_complete(load("trefoil.pd"))
+    assert strict and span == bound == 12
     kinked = r1_add(load("trefoil.pd"), 0, 1)
-    strict_k, det_k = is_1_complete(kinked)
+    span_k, bound_k, strict_k = strict_1_complete(kinked)
     assert not strict_k
-    assert det_k["span"] == 12 and det_k["bound"] == 16
-    assert is_1_complete(UNKNOT)[0]
+    assert span_k == 12 and bound_k == 16
+    assert strict_1_complete(UNKNOT)[2]
 
 
 def test_bracket_move_invariance():
