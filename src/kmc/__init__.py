@@ -4,7 +4,6 @@ certificates for classical and virtual link diagrams."""
 from .atom import Atom, GenusValue, build_atom, genus, orientable
 from .diagram import (
     Diagram,
-    Orientation,
     components,
     crossing_signs,
     is_connected,
@@ -45,11 +44,6 @@ from .khovanov import (
 from .laurent import LOOP, Laurent
 from .minimality import Certificate, FieldReport, certify, certify_from_table
 from .single_circle import SingleCircleCensus, single_circle_census
-from .statesum import (
-    circles_of_state,
-    kauffman_bracket,
-    span_bound,
-    state_circles,
-)
+from .statesum import kauffman_bracket, span_bound
 
 __version__ = "0.1.0"

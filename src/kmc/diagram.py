@@ -40,7 +40,6 @@ from .errors import DiagramError, ParseError
 
 __all__ = [
     "Diagram",
-    "Orientation",
     "parse_pd",
     "parse_gauss",
     "render_pd",
@@ -124,19 +123,6 @@ class Diagram:
         return len(self.arcs) + self.free_loops
 
 
-@dataclass(frozen=True)
-class Orientation:
-    """A direction for every strand pass, one bit per port.
-
-    inbound[p] is True when the strand enters its crossing at port p.
-    Components are traced from their smallest port, entering there, so
-    the orientation is canonical for a given diagram.
-    """
-
-    inbound: tuple[bool, ...]
-    components: int
-
-
 def _strand_cycles(d: Diagram) -> list[list[int]]:
     """Closed strand walks as port sequences (in, out, in, out, ...)."""
     cycles = []
@@ -162,17 +148,18 @@ def components(d: Diagram) -> int:
     return len(_strand_cycles(d)) + d.free_loops
 
 
-def orient(d: Diagram) -> Orientation:
-    """Canonical orientation: each component traced from its least port."""
+def orient(d: Diagram) -> tuple[bool, ...]:
+    """Canonical orientation, one bit per port: inbound[p] is True when
+    the strand enters its crossing at port p.  Each component is traced
+    from its least port, entering there."""
     inbound = [False] * (4 * d.n)
-    cycles = _strand_cycles(d)
-    for cycle in cycles:
+    for cycle in _strand_cycles(d):
         for i, p in enumerate(cycle):
             inbound[p] = i % 2 == 0
-    return Orientation(tuple(inbound), len(cycles) + d.free_loops)
+    return tuple(inbound)
 
 
-def crossing_signs(d: Diagram, o: Orientation) -> tuple[int, int]:
+def crossing_signs(d: Diagram, inbound: tuple[bool, ...]) -> tuple[int, int]:
     """(n_plus, n_minus) crossing sign counts for an oriented diagram.
 
     A crossing is positive exactly when rotating the over-strand
@@ -182,7 +169,7 @@ def crossing_signs(d: Diagram, o: Orientation) -> tuple[int, int]:
     """
     n_plus = n_minus = 0
     for c in range(d.n):
-        if o.inbound[4 * c] != o.inbound[4 * c + 1]:
+        if inbound[4 * c] != inbound[4 * c + 1]:
             n_plus += 1
         else:
             n_minus += 1

@@ -5,8 +5,10 @@ automatically connected; links are retried until connected).  Classical
 diagrams are grown from the unknot by kink and slide moves, which
 preserve planarity, then the over/under choice at each crossing is
 randomized by crossing switches, which also preserve planarity.  The
-classical corpus therefore consists of genuinely planar diagrams of
-arbitrary knot types, while the Gauss corpus is mostly non-classical.
+classical draws are therefore planar but made of kinks, bigons and
+clasps on the unknot, and ``diagram.simplify`` removes most of them;
+``braid_closure`` gives kink-free classical inputs.  The Gauss corpus is
+mostly non-classical.
 """
 
 from __future__ import annotations
@@ -52,14 +54,13 @@ def random_gauss_code(n: int, rng: random.Random, components: int = 1) -> str:
     return " ; ".join(" ".join(tokens[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
-def random_virtual_diagram(
-    max_n: int, rng: random.Random, *, link_probability: float = 0.2
-) -> Diagram:
-    """A connected virtual diagram with at most max_n crossings."""
+def random_virtual_diagram(max_n: int, rng: random.Random) -> Diagram:
+    """A connected virtual diagram with at most max_n crossings: a
+    two-component link with probability 0.2 (when n >= 2), else a knot."""
     n = rng.randint(0, max_n)
     if n == 0:
         return Diagram(0, (), 1)
-    want_link = n >= 2 and rng.random() < link_probability
+    want_link = n >= 2 and rng.random() < 0.2
     while True:
         code = random_gauss_code(n, rng, components=2 if want_link else 1)
         d = parse_gauss(code)
@@ -101,7 +102,9 @@ def random_classical_diagram(max_n: int, rng: random.Random) -> Diagram:
     Grown from the unknot by kinks (+1 crossing) and slides
     (+2 crossings), rejecting any slide hookup that would leave the
     plane, then each crossing is switched with probability 1/2
-    (switches preserve planarity).
+    (switches preserve planarity).  The draw is a pile of kinks, bigons
+    and clasps, most of which ``diagram.simplify`` removes; use
+    ``braid_closure`` for kink-free inputs.
     """
     target = rng.randint(0, max_n)
     d = Diagram(0, (), 1)

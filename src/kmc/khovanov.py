@@ -111,6 +111,7 @@ class KhComplex:
     # mod 2; filled by ``build_complex``
     gf2_ranks: dict[tuple[int, int], int] = field(default_factory=dict)
 
+    # kept for the benchmark: perfbench's spans._complex_attrs calls it
     def total_dimension(self) -> int:
         return sum(len(b) for b in self.blocks.values())
 
@@ -285,7 +286,7 @@ def _skeleton(d: Diagram, n_plus: int, n_minus: int, field: str) -> KhComplex:
     ports = [(1 << c, arc_of[4 * c], arc_of[4 * c + 1], arc_of[4 * c + 2]) for c in range(n)]
     labels = label_states(d)
     label_of = [label for label, _ in labels]
-    k_of = [len(firsts) + loops for _, firsts in labels]
+    k_of = [k + loops for _, k in labels]
     ints = list(range(1 << max(k_of)))  # one int object per position, for every table
     pos, run_len = {}, {}  # k -> position of each mask; k -> masks per popcount
     for k in set(k_of):

@@ -97,10 +97,6 @@ class Laurent:
         """Leading degree minus lowest degree (0 for a monomial)."""
         return self.max_exp() - self.min_exp()
 
-    def substitute_inverse(self) -> "Laurent":
-        """Replace the variable x by x^-1."""
-        return Laurent({-e: c for e, c in self.coeffs.items()})
-
     def substitute_signed_power(self, sign: int, k: int) -> "Laurent":
         """Replace the variable x by sign * y^k, returning a polynomial in y.
 

@@ -31,7 +31,6 @@ class SingleCircleCensus:
     exactly one circle (b_histogram, sorted by count), plus the window
     those counts must hit."""
 
-    n: int
     b_histogram: dict[int, int]
     window: tuple[int, int]
     chi: int
@@ -73,5 +72,5 @@ def single_circle_census(
     )
     atom = build_atom(d)
     return SingleCircleCensus(
-        d.n, dict(sorted(found.items())), (atom.a - 1, d.n + 1 - atom.b), atom.chi
+        dict(sorted(found.items())), (atom.a - 1, d.n + 1 - atom.b), atom.chi
     )

@@ -30,11 +30,8 @@ from .errors import LimitError, resolve_limit
 from .laurent import LOOP, Laurent
 
 __all__ = [
-    "circles_of_state",
-    "state_circles",
     "label_states",
     "circle_counts",
-    "check_census_limit",
     "kauffman_bracket",
     "span_bound",
 ]
@@ -45,9 +42,9 @@ DEFAULT_MAX_CENSUS = 24
 def _walker(d: Diagram):
     """A function labelling the arcs of a state by circle.
 
-    It returns (arc labels, first arc of each circle); circles are
-    numbered by first arc, which is the order of their least ports
-    because arcs are sorted by lower port.  Free loops are not included.
+    It returns (arc labels, number of circles); circles are numbered by
+    first arc, which is the order of their least ports because arcs are
+    sorted by lower port.  Free loops are not included.
     """
     arcs, arc_of, partner = d.arcs, d.arc_index, d.partner
     # after arc (p -> partner p): crossing reached and next port under
@@ -56,48 +53,35 @@ def _walker(d: Diagram):
     after_a = [partner[p] ^ 1 for p in range(4 * d.n)]
     after_b = [partner[p] ^ 3 for p in range(4 * d.n)]
 
-    def walk(state: int) -> tuple[list[int], list[int]]:
+    def walk(state: int) -> tuple[list[int], int]:
         label = [-1] * len(arcs)
-        firsts: list[int] = []
+        k = 0
         for first, (start, _) in enumerate(arcs):
             if label[first] >= 0:
                 continue
-            k = len(firsts)
-            firsts.append(first)
             p = start
             while True:
                 label[arc_of[p]] = k
                 p = after_b[p] if state >> cross[p] & 1 else after_a[p]
                 if p == start:
                     break
-        return label, firsts
+            k += 1
+        return label, k
 
     return walk
 
 
+# kept for the benchmark: perfbench/record.py and spans.COUNTERS read it
 def circles_of_state(d: Diagram, state: int) -> int:
     """Number of closed curves after smoothing every crossing per state."""
     if state >> d.n:
         raise ValueError("state has more bits than crossings")
-    return len(_walker(d)(state)[1]) + d.free_loops
+    return _walker(d)(state)[1] + d.free_loops
 
 
-def state_circles(d: Diagram, state: int) -> tuple[tuple[int, ...], ...]:
-    """The circles of a state as port tuples, sorted by least port.
-
-    Free loops are not listed; they follow these circles in any
-    canonical circle numbering.
-    """
-    label, firsts = _walker(d)(state)
-    groups: list[list[int]] = [[] for _ in firsts]
-    for port, arc in enumerate(d.arc_index):
-        groups[label[arc]].append(port)
-    return tuple(tuple(g) for g in groups)
-
-
-def label_states(d: Diagram) -> list[tuple[list[int], list[int]]]:
-    """Arc labels and first arcs of the circles of every state, in state
-    order: one walk per circle over the whole cube."""
+def label_states(d: Diagram) -> list[tuple[list[int], int]]:
+    """Arc labels and circle count (free loops excluded) of every state,
+    in state order: one walk per circle over the whole cube."""
     walk = _walker(d)
     return [walk(state) for state in range(1 << d.n)]
 

@@ -26,7 +26,7 @@ def _wrap_cube_walks(monkeypatch, on_walk) -> None:
     """Call on_walk(kind, d) at every start of a cube pass and every
     per-state walker built.  The kinds are "labelled" (``label_states``),
     "counting" (``circle_counts``) and "walker" (``_walker``, which
-    ``label_states`` and the one-state helpers build).  Each function is
+    ``label_states`` and ``circles_of_state`` build).  Each function is
     wrapped in every loaded ``kmc`` module that binds it, so a
     ``from .statesum import ...`` caller is seen too."""
     import kmc.statesum

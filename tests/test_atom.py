@@ -14,7 +14,7 @@ from kmc.diagram import (
     split_components,
     virtualize,
 )
-from kmc.generate import random_classical_diagram, random_virtual_diagram
+from kmc.generate import random_classical_diagram, random_gauss_code, random_virtual_diagram
 from kmc.statesum import circles_of_state
 
 UNKNOT = Diagram(0, (), 1)
@@ -184,11 +184,13 @@ def moved_diagrams(draw) -> Diagram:
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
 
     def one() -> Diagram:
-        if draw(st.booleans()):
-            return random_classical_diagram(draw(st.integers(0, 10)), rng)
-        return random_virtual_diagram(
-            draw(st.integers(0, 10)), rng, link_probability=0.5
-        )
+        n = draw(st.integers(0, 10))
+        kind = draw(st.sampled_from(("classical", "virtual", "link")))
+        if kind == "classical":
+            return random_classical_diagram(n, rng)
+        if kind == "virtual":
+            return random_virtual_diagram(n, rng)
+        return parse_gauss(random_gauss_code(n, rng, components=2))
 
     d = one()
     if draw(st.booleans()):

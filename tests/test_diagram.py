@@ -152,9 +152,9 @@ def test_parsers_raise_only_kmc_errors(text):
 
 
 def test_orient_component_counts():
-    assert orient(Diagram(0, (), 1)).components == 1
-    assert orient(parse_pd(TREFOIL_PD)).components == 1
-    assert orient(load("hopf.pd")).components == 2
+    assert components(Diagram(0, (), 1)) == 1
+    assert components(parse_pd(TREFOIL_PD)) == 1
+    assert components(load("hopf.pd")) == 2
 
 
 def test_crossing_signs_trefoil():

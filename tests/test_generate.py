@@ -88,6 +88,25 @@ def test_reduced_alternating_closures_are_minimal(strands, word):
     assert cert.twice_genus == 0
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+def test_torus_knots_t2n_match_khovanovs_closed_form(n):
+    # Khovanov (arXiv:math/9908171, section 6.2): for odd n, T(2, n) has
+    # rank one at (0, n - 2) and (0, n), and at (2j, n + 4j - 2) and
+    # (2j + 1, n + 4j + 2) for 1 <= j <= (n - 1) / 2.  Over GF(2) the
+    # Z/2 torsion at (2j + 1, n + 4j) adds a class there and one at
+    # (2j, n + 4j): (t, n + 2t - 2) and (t, n + 2t) for 2 <= t <= n
+    cert = certify(braid_closure(2, [1] * n))
+    assert cert.verdict == MINIMAL
+    q_table = {(0, n - 2), (0, n)}
+    for j in range(1, (n - 1) // 2 + 1):
+        q_table |= {(2 * j, n + 4 * j - 2), (2 * j + 1, n + 4 * j + 2)}
+    gf2_table = {(0, n - 2), (0, n)}
+    for t in range(2, n + 1):
+        gf2_table |= {(t, n + 2 * t - 2), (t, n + 2 * t)}
+    assert cert.fields[Q].entries == dict.fromkeys(q_table, 1)
+    assert cert.fields[GF2].entries == dict.fromkeys(gf2_table, 1)
+
+
 def test_untouched_strands_close_into_free_loops():
     assert braid_closure(3, []) == Diagram(0, (), 3)
     assert braid_closure(3, [1, 1]).free_loops == 1

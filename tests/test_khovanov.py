@@ -523,7 +523,7 @@ def reference_skeleton(d, field):
     n, loops = d.n, d.free_loops
     arc_of = d.arc_index
     labels = label_states(d)
-    k_of = [len(firsts) + loops for _, firsts in labels]
+    k_of = [k + loops for _, k in labels]
     width = max(k_of)
     popcount = [m.bit_count() for m in range(1 << width)]
     by_popcount = {
@@ -552,14 +552,15 @@ def reference_skeleton(d, field):
     ]
 
     blocks = {key: [] for key in sizes}
-    for s, (label, firsts) in enumerate(labels):
+    for s, (label, walked) in enumerate(labels):
         k = k_of[s]
+        firsts = [label.index(i) for i in range(walked)]  # each circle's first arc
         cols = [[] for _ in range(1 << k)]
         for c in range(n):
             if s >> c & 1:
                 continue
             tgt = s | 1 << c
-            tgt_label, tgt_firsts = labels[tgt]
+            tgt_label, tgt_walked = labels[tgt]
             sign = -1 if field == Q and (s & ((1 << c) - 1)).bit_count() % 2 else 1
             to = [(i, sign) for i in where[tgt]]
             x, y = label[arc_of[4 * c]], label[arc_of[4 * c + 2]]
@@ -574,7 +575,7 @@ def reference_skeleton(d, field):
                 bit = 0 if i in (x, y) else 1 << tgt_label[first]
                 image += [v | bit for v in image]
             for j in range(loops):
-                bit = 1 << (len(tgt_firsts) + j)
+                bit = 1 << (tgt_walked + j)
                 image += [v | bit for v in image]
             xb, yb = 1 << x, 1 << y
             if x != y:  # merge: ++ -> +, +- and -+ -> -, -- -> 0

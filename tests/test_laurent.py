@@ -39,12 +39,6 @@ def test_span():
         Laurent.zero().span()
 
 
-def test_substitute_inverse():
-    p = Laurent({3: 1, -2: 4})
-    assert p.substitute_inverse() == Laurent({-3: 1, 2: 4})
-    assert p.substitute_inverse().substitute_inverse() == p
-
-
 def test_substitute_signed_power():
     # q -> -A^-2 on q^2 + q gives A^-4 - A^-2
     p = Laurent({2: 1, 1: 1})

@@ -12,8 +12,8 @@ from kmc.statesum import (
     circle_counts,
     circles_of_state,
     kauffman_bracket,
+    label_states,
     span_bound,
-    state_circles,
 )
 
 UNKNOT = Diagram(0, (), 1)
@@ -47,9 +47,19 @@ def test_circles_virtual_trefoil():
     assert circles_of_state(d, 0b10) == 1
 
 
+def walked_circles(d, state):
+    """The circles of a state as port tuples, from the labelled pass:
+    ports grouped by their arc's label, in label order."""
+    label, k = label_states(d)[state]
+    groups = [[] for _ in range(k)]
+    for port, arc in enumerate(d.arc_index):
+        groups[label[arc]].append(port)
+    return [tuple(g) for g in groups]
+
+
 def test_state_circles_partition():
     d = load("trefoil.pd")
-    parts = state_circles(d, 0)
+    parts = walked_circles(d, 0)
     assert sorted(p for circ in parts for p in circ) == list(range(12))
     assert [c[0] for c in parts] == sorted(c[0] for c in parts)
 
@@ -121,7 +131,7 @@ def test_bracket_move_invariance():
         assert kauffman_bracket(r2_add(d, s, t)) == br
         assert kauffman_bracket(r1_add(d, s, 1)) == br * Laurent({3: -1})
         assert kauffman_bracket(r1_add(d, s, -1)) == br * Laurent({-3: -1})
-        assert kauffman_bracket(mirror(d)) == br.substitute_inverse()
+        assert kauffman_bracket(mirror(d)) == Laurent({-e: c for e, c in br.coeffs.items()})
         if d.n:
             assert kauffman_bracket(virtualize(d, rng.randrange(d.n))) == br
 
@@ -191,8 +201,8 @@ def union_find_circles(d, state):
 @given(DIAGRAMS, st.integers(0, 2**7 - 1))
 def test_walk_partition_matches_union_find(d, state):
     state &= (1 << d.n) - 1
-    circles = state_circles(d, state)
-    assert list(circles) == union_find_circles(d, state)  # sorted by least port
+    circles = walked_circles(d, state)
+    assert circles == union_find_circles(d, state)  # numbered by least port
     assert circles_of_state(d, state) == len(circles) + d.free_loops
 
 
