@@ -21,8 +21,9 @@ so x_c(p) + x_c(q) = 1 + p + q (mod 2).  Conversely such a 2-colouring
 directs every cell's walk consistently.  ``diagram.crossing_components``
 solves it per component in the search that numbers the components, so
 the cells are only counted, by one directionless walk of each of the
-all-A and all-B states.  A component with no crossings (a free loop) is
-a sphere: one white and one black cell, chi = 2.
+all-A and all-B states (``diagram.port_cycles`` with turn 1 and 3).  A
+component with no crossings (a free loop) is a sphere: one white and
+one black cell, chi = 2.
 
 A connected diagram has twice_genus = 2 - chi.  For a disconnected
 diagram the genus reported here is the sum over components, while chi
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import Diagram, crossing_components
+from .diagram import Diagram, crossing_components, port_cycles
 
 __all__ = [
     "Atom",
@@ -86,30 +87,12 @@ class GenusValue:
         return str(self.value)
 
 
-def _cell_crossings(d: Diagram, step: int) -> list[int]:
-    """One crossing on each white (step 1) or black (step 3) cell: after
-    the arc into port p, the A-smoothing leaves by port p ^ 1 (pairs 0-1,
-    2-3), the B-smoothing by port p ^ 3 (pairs 1-2, 3-0)."""
-    partner = d.partner
-    seen = [False] * (4 * d.n)
-    out = []
-    for start in range(4 * d.n):
-        if seen[start]:
-            continue
-        out.append(start >> 2)
-        p = start
-        while not seen[p]:
-            q = partner[p]
-            seen[p] = seen[q] = True
-            p = q ^ step
-    return out
-
-
 def build_atom(d: Diagram) -> Atom:
     """Count the cells and classify each diagram component's surface."""
     comp, count, flat = crossing_components(d)
-    white = _cell_crossings(d, 1)
-    black = _cell_crossings(d, 3)
+    # one crossing on each white (all-A) and black (all-B) cell
+    white = [cycle[0] >> 2 for cycle in port_cycles(d, 1)]
+    black = [cycle[0] >> 2 for cycle in port_cycles(d, 3)]
     # chi of a component: its white and black cells minus its crossings
     chi = [0] * count
     for c in white + black:

@@ -123,29 +123,32 @@ class Diagram:
         return len(self.arcs) + self.free_loops
 
 
-def _strand_cycles(d: Diagram) -> list[list[int]]:
-    """Closed strand walks as port sequences (in, out, in, out, ...)."""
+def port_cycles(d: Diagram, turn: int) -> list[list[int]]:
+    """The closed walks that turn at each crossing from port p to p ^ turn
+    and then follow the arc, each as its ports [p, p ^ turn, partner, ...]
+    from its least port: turn 2 gives the strands (in, out, in, out, ...),
+    1 the circles of the all-A state (pairs 0-1, 2-3) and 3 those of the
+    all-B state (pairs 1-2, 3-0)."""
+    partner = d.partner
     cycles = []
-    visited = [False] * (4 * d.n)
+    seen = [False] * (4 * d.n)
     for start in range(4 * d.n):
-        if visited[start]:
+        if seen[start]:
             continue
         cycle = []
         p = start
-        while not visited[p]:
-            visited[p] = True
-            cycle.append(p)  # entering here
-            out = p ^ 2
-            visited[out] = True
-            cycle.append(out)
-            p = d.partner[out]
+        while not seen[p]:
+            out = p ^ turn
+            seen[p] = seen[out] = True
+            cycle += (p, out)
+            p = partner[out]
         cycles.append(cycle)
     return cycles
 
 
 def components(d: Diagram) -> int:
     """Number of link components (strand cycles plus free loops)."""
-    return len(_strand_cycles(d)) + d.free_loops
+    return len(port_cycles(d, 2)) + d.free_loops
 
 
 def orient(d: Diagram) -> tuple[bool, ...]:
@@ -153,7 +156,7 @@ def orient(d: Diagram) -> tuple[bool, ...]:
     the strand enters its crossing at port p.  Each component is traced
     from its least port, entering there."""
     inbound = [False] * (4 * d.n)
-    for cycle in _strand_cycles(d):
+    for cycle in port_cycles(d, 2):
         for i, p in enumerate(cycle):
             inbound[p] = i % 2 == 0
     return tuple(inbound)

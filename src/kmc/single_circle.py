@@ -9,16 +9,17 @@ satisfies
     x - 1 <= b_count(s) <= n + 1 - y
 
 (switching one smoothing changes the circle count by at most one), and
-the window width n + 2 - x - y equals 2 - chi.  When the atom is
-orientable all b_counts also share one parity.
+the window width n + 2 - x - y equals 2 - chi, with chi = x + y - n.
+x and y are read from the same census of the cube as the single-circle
+states: the all-A state is its only state with no B-smoothing, the
+all-B state its only one with n.  When the atom is orientable all
+b_counts also share one parity.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .atom import build_atom
 from .diagram import Diagram
 from .statesum import check_census_limit, circle_counts
 
@@ -64,13 +65,11 @@ class SingleCircleCensus:
 def single_circle_census(
     d: Diagram, *, max_crossings: int | None = None
 ) -> SingleCircleCensus:
-    """One counting pass over all 2^n states, filtered to one circle; the
-    window and chi come from the atom."""
+    """One counting pass over all 2^n states: the single-circle row of its
+    census, and the window and chi from its all-A and all-B states."""
     check_census_limit(d, max_crossings)
-    found = Counter(
-        s.bit_count() for s, circles in enumerate(circle_counts(d)) if circles == 1
-    )
-    atom = build_atom(d)
-    return SingleCircleCensus(
-        dict(sorted(found.items())), (atom.a - 1, d.n + 1 - atom.b), atom.chi
-    )
+    census = circle_counts(d)
+    # (r, k) keys: (0, x) is the least, (n, y) the greatest
+    x, y = min(census)[1], max(census)[1]
+    found = {r: count for (r, k), count in census.items() if k == 1}
+    return SingleCircleCensus(found, (x - 1, d.n + 1 - y), x + y - d.n)

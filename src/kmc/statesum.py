@@ -11,19 +11,17 @@ The bracket is the sum over all 2^n states of
 
     A^(n - 2r) * (-A^2 - A^-2)^(circles - 1)
 
-which normalizes the unknot to 1.  It is read off a histogram of
-(r, circles) from the counting pass ``circle_counts``, which walks no
-circle: it follows the ends of partly smoothed paths from one state to
-the next, O(1) amortised steps per state instead of 2n.  Only
+which normalizes the unknot to 1, so it depends on a state only
+through (r, circles).  The counting pass ``circle_counts`` returns that
+histogram, the census of the cube, and walks no circle: it follows the
+ends of partly smoothed paths from one state to the next, O(1)
+amortised steps per state instead of 2n.  Only
 ``label_states``, for the Khovanov complex, walks every circle of every
 state, because it keeps each arc's label.  The bracket and the
 single-circle census check their crossing limit before the pass starts.
 """
 
 from __future__ import annotations
-
-from collections import Counter
-from collections.abc import Iterator
 
 from .diagram import Diagram
 from .errors import LimitError, resolve_limit
@@ -86,9 +84,11 @@ def label_states(d: Diagram) -> list[tuple[list[int], int]]:
     return [walk(state) for state in range(1 << d.n)]
 
 
-def circle_counts(d: Diagram) -> Iterator[int]:
-    """Circles (free loops included) of every state, in state order; the
-    counting pass, which keeps O(n) numbers and nothing per state.
+def circle_counts(d: Diagram) -> dict[tuple[int, int], int]:
+    """The census of the cube: {(r, k): number of states} over all 2^n
+    states, r their B-smoothings and k their circles, free loops
+    included, in (r, k) order; the counting pass, which keeps O(n)
+    numbers and nothing per state.
 
     ``end[p]`` is the other end of the path through port p.  Before any
     smoothing the paths are the arcs, so ``end`` starts as ``d.partner``.
@@ -100,17 +100,17 @@ def circle_counts(d: Diagram) -> Iterator[int]:
     2h + 1 give crossings 1..n - 1 the smoothings of h, read bit c - 1
     for crossing c.  From h - 1 to h the crossings that change are 1..j,
     with bit j - 1 the lowest set bit of h: the pass undoes them from the
-    top, smooths j by B and j - 1..1 by A.  That is about four crossing
-    updates per pair of states, and h counts up, so the states come out
-    in numeric order.  Crossing 0 is never smoothed: its four ports end
-    the two paths left, and its A-smoothing closes two circles iff
-    ``end[0] == 1``, its B-smoothing iff ``end[0] == 3``; otherwise each
-    closes one.
+    top, smooths j by B and j - 1..1 by A, and h gains 2 - j set bits.
+    That is about four crossing updates per pair of states.  Crossing 0
+    is never smoothed: its four ports end the two paths left, and its
+    A-smoothing closes two circles iff ``end[0] == 1``, its B-smoothing
+    iff ``end[0] == 3``; otherwise each closes one.  A state has at most
+    2n + free_loops circles, so the states are tallied in one flat list
+    by r * width + k, turned into the dict once at the end.
     """
     n = d.n
     if not n:
-        yield d.free_loops
-        return
+        return {(0, d.free_loops): 1}
     end = list(d.partner)
     # ports joined at crossing c under A (0-1, 2-3) and under B (1-2, 3-0)
     joins = [((4 * c, 4 * c + 1, 4 * c + 2, 4 * c + 3),
@@ -128,21 +128,26 @@ def circle_counts(d: Diagram) -> Iterator[int]:
         log[c] = (p, q, x, y, r, s, u, v)
         closed[c] = closed[c + 1] + (x == q) + (u == s)
 
+    width = 2 * n + d.free_loops + 1
+    tally = [0] * ((n + 1) * width)
+    r = 0  # B-smoothings of crossings 1..n-1, the set bits of h
     for c in range(n - 1, 0, -1):
         smooth(c, 0)
     for high in range(1 << (n - 1)):
         if high:
             j = (high & -high).bit_length()
             for c in range(1, j + 1):
-                p, q, x, y, r, s, u, v = log[c]
-                end[u], end[v] = r, s
+                p, q, x, y, s, t, u, v = log[c]
+                end[u], end[v] = s, t
                 end[x], end[y] = p, q
             smooth(j, 1)
             for c in range(j - 1, 0, -1):
                 smooth(c, 0)
-        k = closed[1] + 1
-        yield k + (end[0] == 1)
-        yield k + (end[0] == 3)
+            r += 2 - j
+        at = r * width + closed[1] + 1
+        tally[at + (end[0] == 1)] += 1
+        tally[at + width + (end[0] == 3)] += 1
+    return {divmod(i, width): count for i, count in enumerate(tally) if count}
 
 
 def check_census_limit(d: Diagram, max_crossings: int | None = None) -> None:
@@ -154,13 +159,12 @@ def check_census_limit(d: Diagram, max_crossings: int | None = None) -> None:
 
 
 def kauffman_bracket(d: Diagram, *, max_crossings: int | None = None) -> Laurent:
-    """The bracket polynomial in A, unknot normalized to 1, from one
-    counting pass's (B-smoothings, circles) histogram; the census limit
-    is checked first."""
+    """The bracket polynomial in A, unknot normalized to 1, folded from
+    the (B-smoothings, circles) histogram that one counting pass returns;
+    the census limit is checked first."""
     check_census_limit(d, max_crossings)
-    counts = Counter((s.bit_count(), k) for s, k in enumerate(circle_counts(d)))
     total = Laurent.zero()
-    for (r, circles), count in sorted(counts.items()):
+    for (r, circles), count in circle_counts(d).items():
         total = total + Laurent.term(count, d.n - 2 * r) * LOOP ** (circles - 1)
     return total
 

@@ -86,3 +86,41 @@ def test_every_definition_in_the_package_has_a_reader():
     # the allow-list names only defined names that still have no reader
     assert set(UNREAD_BY_DESIGN) <= defined.keys()
     assert not set(UNREAD_BY_DESIGN) & read
+
+
+def _top_level_names(tree: ast.Module):
+    """Names the module itself binds at top level: functions, classes and
+    assignment targets."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+
+
+def _exported(tree: ast.Module) -> list[str] | None:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def test_every_exported_name_is_defined_in_its_module():
+    """A stale ``__all__`` entry would make ``from kmc.<module> import *``
+    raise; every listed name must be bound by the module itself."""
+    checked = 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exported = _exported(tree)
+        if exported is None:
+            continue
+        checked += 1
+        missing = sorted(set(exported) - set(_top_level_names(tree)))
+        assert missing == [], f"{path.name}: __all__ names undefined {missing}"
+    assert checked

@@ -231,9 +231,9 @@ def test_tables_blind_to_virtualization_gf2():
 
 
 def _strand_sets(d):
-    from kmc.diagram import _strand_cycles
+    from kmc.diagram import port_cycles
 
-    return _strand_cycles(d)
+    return port_cycles(d, 2)
 
 
 def test_table_json_roundtrip(tmp_path):

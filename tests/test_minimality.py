@@ -72,8 +72,9 @@ def test_one_cube_pass_per_command(cube_walks):
     """certify makes one counting pass over the diagram as given, for its
     bracket, then one labelled pass (one walker) over ``simplify(d)``, for
     its complex; ``kmc bracket`` and the census one counting pass (no
-    walker).  a, b and chi come from the atom, which walks the circles of
-    two states, all-A and all-B, by itself: not the cube, and no walker."""
+    walker).  The census reads a, b and chi from its own pass; certify and
+    ``kmc bracket`` read chi from the atom, which walks the circles of two
+    states, all-A and all-B, by itself: not the cube, and no walker."""
     from kmc.cli import main
     from kmc.single_circle import single_circle_census
 

@@ -6,7 +6,7 @@ from conftest import load
 from kmc.atom import build_atom, orientable
 from kmc.diagram import Diagram, parse_gauss, r1_add
 from kmc.errors import LimitError
-from kmc.generate import random_virtual_diagram
+from kmc.generate import random_gauss_code, random_virtual_diagram
 from kmc.khovanov import GF2, kh_table
 from kmc.single_circle import single_circle_census
 from kmc.statesum import circles_of_state
@@ -46,14 +46,19 @@ def test_virtual_trefoil_census():
 def test_window_arithmetic():
     assert single_circle_census(load("trefoil.pd")).window == (2, 2)
     assert single_circle_census(parse_gauss("O1+ O2+ U1+ U2+")).window == (0, 1)
-    # the window is (x - 1, n + 1 - y) and its width 2 - chi for any diagram
+    # the window is (x - 1, n + 1 - y) and its width 2 - chi for any
+    # diagram; x, y and chi are the atom's a, b and chi
     rng = random.Random(51)
-    for _ in range(40):
-        d = random_virtual_diagram(9, rng)
+    virtual = [random_virtual_diagram(9, rng) for _ in range(40)]
+    links = [parse_gauss(random_gauss_code(n, rng, components=2)) for n in range(2, 8)]
+    loops = [Diagram(0, (), k) for k in (1, 2, 3)]
+    for d in virtual + links + loops:
         census = single_circle_census(d)
+        atom = build_atom(d)
         lo, hi = census.window
         x, y = circles_of_state(d, 0), circles_of_state(d, (1 << d.n) - 1)
-        assert (lo, hi) == (x - 1, d.n + 1 - y)
+        assert (lo, hi) == (x - 1, d.n + 1 - y) == (atom.a - 1, d.n + 1 - atom.b)
+        assert census.chi == atom.chi
         assert hi - lo == 2 - census.chi
 
 
