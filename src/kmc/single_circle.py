@@ -65,8 +65,8 @@ class SingleCircleCensus:
 def single_circle_census(
     d: Diagram, *, max_crossings: int | None = None
 ) -> SingleCircleCensus:
-    """One counting pass over all 2^n states: the single-circle row of its
-    census, and the window and chi from its all-A and all-B states."""
+    """One counting pass's census of all 2^n states: its single-circle row,
+    and the window and chi from its all-A and all-B states."""
     check_census_limit(d, max_crossings)
     census = circle_counts(d)
     # (r, k) keys: (0, x) is the least, (n, y) the greatest

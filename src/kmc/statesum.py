@@ -13,15 +13,17 @@ The bracket is the sum over all 2^n states of
 
 which normalizes the unknot to 1, so it depends on a state only
 through (r, circles).  The counting pass ``circle_counts`` returns that
-histogram, the census of the cube, and walks no circle: it follows the
-ends of partly smoothed paths from one state to the next, O(1)
-amortised steps per state instead of 2n.  Only
-``label_states``, for the Khovanov complex, walks every circle of every
-state, because it keeps each arc's label.  The bracket and the
-single-circle census check their crossing limit before the pass starts.
+histogram, the census of the cube, without visiting a state: it smooths
+one crossing at a time and keeps one packed census per pairing of the
+smoothed tangle's ends.  Only ``label_states``, for the Khovanov
+complex, walks every circle of every state, because it keeps each arc's
+label.  The bracket and the single-circle census check their crossing
+limit before the pass starts.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .diagram import Diagram
 from .errors import LimitError, resolve_limit
@@ -87,67 +89,62 @@ def label_states(d: Diagram) -> list[tuple[list[int], int]]:
 def circle_counts(d: Diagram) -> dict[tuple[int, int], int]:
     """The census of the cube: {(r, k): number of states} over all 2^n
     states, r their B-smoothings and k their circles, free loops
-    included, in (r, k) order; the counting pass, which keeps O(n)
-    numbers and nothing per state.
+    included, in (r, k) order; the counting pass.
 
-    ``end[p]`` is the other end of the path through port p.  Before any
-    smoothing the paths are the arcs, so ``end`` starts as ``d.partner``.
-    Joining two ports that end one path closes a circle; joining ends of
-    two paths splices them by rewriting the two far ends' ``end``.
-
-    Crossings n - 1..1 are smoothed as a stack, crossing 1 on top, and
-    each crossing's joins are logged so it can be undone.  States 2h and
-    2h + 1 give crossings 1..n - 1 the smoothings of h, read bit c - 1
-    for crossing c.  From h - 1 to h the crossings that change are 1..j,
-    with bit j - 1 the lowest set bit of h: the pass undoes them from the
-    top, smooths j by B and j - 1..1 by A, and h gains 2 - j set bits.
-    That is about four crossing updates per pair of states.  Crossing 0
-    is never smoothed: its four ports end the two paths left, and its
-    A-smoothing closes two circles iff ``end[0] == 1``, its B-smoothing
-    iff ``end[0] == 3``; otherwise each closes one.  A state has at most
-    2n + free_loops circles, so the states are tallied in one flat list
-    by r * width + k, turned into the dict once at the end.
+    The crossings smoothed so far, each both ways, form a tangle; its
+    frontier is the ports of the other crossings whose arc partner is in
+    it.  A pairing, the tuple of each frontier port's path's other end in
+    port order, holds one int packing the count of (r, k) at bit offset
+    (n + 1)(r * width + k), width = 2n + free_loops + 1: no count
+    exceeds 2^n, no state has width circles.  A join of the two ends of
+    one path closes a circle, a shift by n + 1 bits; a B-smoothing
+    shifts by (n + 1) * width.  Equal pairings are added.  The next
+    crossing has the most ports whose partners are in the tangle, ties
+    to the least index, so the cost follows the pairings, not 2^n.
     """
-    n = d.n
-    if not n:
-        return {(0, d.free_loops): 1}
-    end = list(d.partner)
-    # ports joined at crossing c under A (0-1, 2-3) and under B (1-2, 3-0)
-    joins = [((4 * c, 4 * c + 1, 4 * c + 2, 4 * c + 3),
-              (4 * c + 1, 4 * c + 2, 4 * c + 3, 4 * c)) for c in range(n)]
-    log: list[tuple[int, ...]] = [()] * n
-    # closed[c]: circles, free loops included, once crossings n-1..c are smoothed
-    closed = [d.free_loops] * (n + 1)
-
-    def smooth(c: int, b: int) -> None:
-        p, q, r, s = joins[c][b]
-        x, y = end[p], end[q]
-        end[x], end[y] = y, x
-        u, v = end[r], end[s]
-        end[u], end[v] = v, u
-        log[c] = (p, q, x, y, r, s, u, v)
-        closed[c] = closed[c + 1] + (x == q) + (u == s)
-
-    width = 2 * n + d.free_loops + 1
-    tally = [0] * ((n + 1) * width)
-    r = 0  # B-smoothings of crossings 1..n-1, the set bits of h
-    for c in range(n - 1, 0, -1):
-        smooth(c, 0)
-    for high in range(1 << (n - 1)):
-        if high:
-            j = (high & -high).bit_length()
-            for c in range(1, j + 1):
-                p, q, x, y, s, t, u, v = log[c]
-                end[u], end[v] = s, t
-                end[x], end[y] = p, q
-            smooth(j, 1)
-            for c in range(j - 1, 0, -1):
-                smooth(c, 0)
-            r += 2 - j
-        at = r * width + closed[1] + 1
-        tally[at + (end[0] == 1)] += 1
-        tally[at + width + (end[0] == 3)] += 1
-    return {divmod(i, width): count for i, count in enumerate(tally) if count}
+    n, partner = d.n, d.partner
+    bits, width = n + 1, 2 * n + d.free_loops + 1
+    pairings, frontier = {(): 1}, []
+    left = list(range(n))
+    inward = [0] * n  # ports whose partner is in the tangle
+    at = [0] * (4 * n)  # a port's place in the pairing being smoothed
+    for _ in range(n):
+        c = max(left, key=inward.__getitem__)
+        ports = range(4 * c, 4 * c + 4)
+        fresh = {}  # the arcs from c to the crossings left, c included, as ends
+        for p in ports:
+            q = partner[p]
+            if q >> 2 in left:
+                fresh[p], fresh[q] = q, p
+            inward[q >> 2] += 1
+        left.remove(c)
+        tail = tuple(fresh.values())  # what each pairing is extended by
+        for i, p in enumerate(frontier + list(fresh)):
+            at[p] = i
+        after = sorted(set(frontier).union(fresh).difference(ports))
+        key = itemgetter(*[at[p] for p in after]) if after else lambda ends: ()
+        p0, p1, p2, p3 = ports
+        # A joins p0-p1 and p2-p3; B joins p1-p2 and p3-p0
+        joins = [(at[p], q, at[q], at[r], s, at[s], shift)
+                 for p, q, r, s, shift in ((p0, p1, p2, p3, 0), (p1, p2, p3, p0, bits * width))]
+        merged: dict[tuple[int, ...], int] = {}
+        for pairing, value in pairings.items():
+            for ip, q, iq, ir, s, is_, shift in joins:
+                ends = [*pairing, *tail]
+                x, y = ends[ip], ends[iq]
+                ends[at[x]], ends[at[y]] = y, x
+                u, v = ends[ir], ends[is_]
+                ends[at[u]], ends[at[v]] = v, u
+                pair = key(ends)
+                merged[pair] = merged.get(pair, 0) + (value << shift + bits * ((x == q) + (u == s)))
+        pairings, frontier = merged, after
+    value, census = pairings[()] << bits * d.free_loops, {}
+    while value:
+        slot = ((value & -value).bit_length() - 1) // bits  # the least one in use
+        count = value >> slot * bits & (1 << bits) - 1
+        census[divmod(slot, width)] = count
+        value -= count << slot * bits
+    return census
 
 
 def check_census_limit(d: Diagram, max_crossings: int | None = None) -> None:
@@ -159,13 +156,16 @@ def check_census_limit(d: Diagram, max_crossings: int | None = None) -> None:
 
 
 def kauffman_bracket(d: Diagram, *, max_crossings: int | None = None) -> Laurent:
-    """The bracket polynomial in A, unknot normalized to 1, folded from
-    the (B-smoothings, circles) histogram that one counting pass returns;
-    the census limit is checked first."""
+    """The bracket polynomial in A, unknot normalized to 1: the census of
+    one counting pass, folded by Horner's rule in the loop value from the
+    most circles down.  The census limit is checked first."""
     check_census_limit(d, max_crossings)
-    total = Laurent.zero()
+    rows: dict[int, dict[int, int]] = {}
     for (r, circles), count in circle_counts(d).items():
-        total = total + Laurent.term(count, d.n - 2 * r) * LOOP ** (circles - 1)
+        rows.setdefault(circles, {})[d.n - 2 * r] = count
+    total = Laurent.zero()
+    for circles in range(max(rows), 0, -1):
+        total = total * LOOP + Laurent(rows.get(circles))
     return total
 
 

@@ -23,12 +23,15 @@ class CubeWalked(BaseException):
 
 
 def _wrap_cube_walks(monkeypatch, on_walk) -> None:
-    """Call on_walk(kind, d) at every start of a cube pass and every
-    per-state walker built.  The kinds are "labelled" (``label_states``),
-    "counting" (``circle_counts``) and "walker" (``_walker``, which
-    ``label_states`` and ``circles_of_state`` build).  Each function is
-    wrapped in every loaded ``kmc`` module that binds it, so a
-    ``from .statesum import ...`` caller is seen too."""
+    """Call on_walk(kind, d) at every start of a pass whose work grows
+    exponentially with n, and every per-state walker built.  The kinds
+    are "labelled" (``label_states``, which walks the cube), "counting"
+    (``circle_counts``, which contracts the crossings and visits no
+    state, but whose pairings can still grow exponentially) and "walker"
+    (``_walker``, which ``label_states`` and ``circles_of_state``
+    build).  Each function is wrapped in every loaded ``kmc`` module
+    that binds it, so a ``from .statesum import ...`` caller is seen
+    too."""
     import kmc.statesum
 
     for kind, name in (

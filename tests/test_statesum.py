@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,7 +233,7 @@ def _counting_pass_cases():
     virtual = random_virtual_diagram(10, random.Random(5))
     assert virtual.n == 9 and not orientable(build_atom(virtual))
     yield "non-orientable virtual", virtual
-    # the benchmark's states_census generator call: undo reaches crossing 12
+    # the benchmark's states_census generator call
     d = random_classical_diagram(13, random.Random(2))
     assert d.n == 13
     yield "classical n = 13", d
@@ -241,3 +242,46 @@ def _counting_pass_cases():
 def test_counting_pass_matches_each_state_on_named_diagrams():
     for name, d in _counting_pass_cases():
         assert circle_counts(d) == _census_of_each_state(d), name
+
+
+def renumbered(d, rng):
+    """d with its crossings renumbered by a random permutation: port
+    4c + i becomes 4 * perm[c] + i."""
+    perm = list(range(d.n))
+    rng.shuffle(perm)
+
+    def move(p):
+        return 4 * perm[p >> 2] + (p & 3)
+
+    return Diagram(d.n, tuple((move(p), move(q)) for p, q in d.arcs), d.free_loops)
+
+
+@settings(max_examples=30, deadline=None)
+@given(DIAGRAMS, st.integers(0, 10**6))
+def test_census_does_not_depend_on_crossing_numbering(d, seed):
+    # a new numbering changes the order the crossings are contracted in,
+    # and so which pairings of the frontier meet and merge
+    assert circle_counts(renumbered(d, random.Random(seed))) == circle_counts(d)
+
+
+def test_census_does_not_depend_on_crossing_numbering_at_n_13():
+    name, d = list(_counting_pass_cases())[-1]
+    assert name == "classical n = 13"
+    census = circle_counts(d)
+    for seed in range(3):
+        assert circle_counts(renumbered(d, random.Random(seed))) == census
+
+
+@pytest.mark.parametrize("chirality", [1, -1])
+def test_census_of_a_chain_of_kinks_at_the_census_limit(chirality):
+    """24 kinks of one sign on the unknot: a state with r B-smoothings has
+    n + 1 - r circles (chirality +1) or r + 1 (chirality -1), so the
+    census is C(n, r) at each r.  The largest count, C(24, 12) =
+    2,704,156, needs 22 bits of the packing, checked without a 2^24 pass."""
+    d = UNKNOT
+    for _ in range(24):
+        d = r1_add(d, 0, chirality)
+    n = d.n
+    circles = (lambda r: n + 1 - r) if chirality == 1 else (lambda r: r + 1)
+    assert circle_counts(d) == {(r, circles(r)): comb(n, r) for r in range(n + 1)}
+    assert kauffman_bracket(d) == Laurent({3 * n * chirality: 1})
