@@ -16,8 +16,10 @@ is the zero map, which is only consistent over GF(2).  Over the
 rationals the usual edge sign (-1)^(number of set lower bits) applies
 and the atom must be orientable.
 
-The complex is built from one labelled pass over the cube (see
-``statesum.label_states``), once, for the field asked for.  Every column
+The complex is built once, for the field asked for: the census
+(``statesum.circle_counts``) sizes every block, then one sweep of the
+cube walks each state's circles and lays its columns into place; the
+walks must fill the blocks exactly (the census check).  Every column
 entry is +-1 (unsigned over GF(2)) and every entry of a column has its
 own target, so the GF(2) complex is the rational one reduced mod 2, and
 one complex built over Q serves both tables.  The basis is not stored:
@@ -55,7 +57,6 @@ columns become bitsets once, are ranked, and check the block before.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -66,7 +67,7 @@ from .diagram import Diagram, crossing_components, crossing_signs, orient, simpl
 from .errors import LimitError, TableError, UnsupportedFieldError, resolve_limit
 from .laurent import Laurent
 from .linalg import gf2_rank, sparse_integer_rank
-from .statesum import label_states
+from .statesum import _walker, circle_counts
 
 __all__ = [
     "GF2",
@@ -207,6 +208,8 @@ def load_table(path: str | Path, field_hint: str | None = None) -> KhTable:
         raise TableError(f"cannot read {path}: not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise TableError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise TableError(f"{path} is nested too deeply") from exc
     block = _single_field_block(data, field_hint) if isinstance(data, dict) else None
     if not isinstance(block, dict):
         raise TableError("no homology table found in JSON data")
@@ -266,77 +269,80 @@ def build_complex(
 
 
 def _skeleton(d: Diagram, n_plus: int, n_minus: int, field: str) -> KhComplex:
-    """The complex over field from one labelled pass over the cube.
+    """The complex over field from the census of d and one sweep of its
+    cube.
 
-    A state's masks are laid out by popcount, then by value: its masks of
-    popcount j sit in increasing order in block (t, q_j).  So a state's
-    basis elements, in that order, fill one slice of each of its blocks,
-    and a mask's place among them is its position in one permutation per
-    circle count.  Columns and entry tables are indexed by position.
-    Along an edge the untouched circles keep their order (the lemma in
-    the module docstring), so the edge's action on positions depends
-    only on its key (k, x, y, z1, z2): ``_edge_program`` builds one
-    program per key, cached for this call, and each edge only lays its
-    entries down.  Over GF(2) every entry is (target, 1); over Q the edge
-    from s to s + 2^c takes the sign (-1)^(number of set bits of s below
-    c), and a single-cycle edge raises an AssertionError."""
+    The census (``circle_counts``) sizes every block first: a state with
+    r B-smoothings and k circles, free loops included, has its masks of
+    popcount j, in increasing order, in block (t, q) = (r - n_minus,
+    r + n_plus - 2 n_minus - k + 2j).  A mask's place among them is its
+    position in one permutation per circle count; columns and entry
+    tables are indexed by position.  The sweep walks the states from
+    2^n - 1 down, so an edge's target s + 2^c is walked before its
+    source, and takes each state's runs at offsets counted down from its
+    blocks' sizes: states sit in increasing order within every block.  A
+    walk the census does not count, a run that would start below 0 or a
+    block left short raises an AssertionError (the census check).  Along
+    an edge the untouched circles keep their order (the lemma in the
+    module docstring), so the edge's action on positions depends only on
+    its key (k, x, y, z1, z2): ``_edge_program`` builds one program per
+    key, cached for this call, and each edge only lays its entries down.
+    Over GF(2) every entry is (target, 1); over Q the edge from s to
+    s + 2^c takes the sign (-1)^(number of set bits of s below c), and a
+    single-cycle edge raises an AssertionError."""
     n, loops = d.n, d.free_loops
     arc_of = d.arc_index
     # per crossing c: its bit, and the arcs at ports 4c, 4c + 1 and 4c + 2
     ports = [(1 << c, arc_of[4 * c], arc_of[4 * c + 1], arc_of[4 * c + 2]) for c in range(n)]
-    labels = label_states(d)
-    label_of = [label for label, _ in labels]
-    k_of = [k + loops for _, k in labels]
-    ints = list(range(1 << max(k_of)))  # one int object per position, for every table
-    pos, run_len = {}, {}  # k -> position of each mask; k -> masks per popcount
-    for k in set(k_of):
+    census = circle_counts(d)
+    ints = list(range(1 << max(k for _, k in census)))  # one int object per position
+    pos = {}  # k -> position of each mask
+    for k in {k for _, k in census}:
         pos[k] = [0] * (1 << k)
         for p, m in zip(ints, sorted(range(1 << k), key=lambda m: (m.bit_count(), m))):
             pos[k][m] = p
-        run_len[k] = [comb(k, j) for j in range(k + 1)]
-
-    counts = Counter(zip(map(int.bit_count, range(1 << n)), k_of))
-    blocks_of = {}  # (r, k) -> the block of the masks of each popcount
     sizes: dict[tuple[int, int], int] = {}  # (t, q) -> dim C(t, q)
-    for (r, k), count in counts.items():
-        base_q = r + n_plus - 2 * n_minus - k
-        blocks_of[r, k] = [(r - n_minus, base_q + 2 * j) for j in range(k + 1)]
-        for key, size in zip(blocks_of[r, k], run_len[k]):
-            sizes[key] = sizes.get(key, 0) + count * size
-
-    def by_position(table):
-        """Per state, the items of table at its basis elements' places in
-        their blocks, by position: the states' runs fill each block in
-        state order."""
-        laid = dict.fromkeys(sizes, 0)
-        out = []
-        for s, k in enumerate(k_of):
-            to = []
-            for key, size in zip(blocks_of[s.bit_count(), k], run_len[k]):
-                o = laid[key]
-                laid[key] = o + size
-                to += table[o:o + size]
-            out.append(to)
-        return out
-
+    spans = {}  # (r, k) -> per popcount: its block's key and its slice of the positions
+    for (r, k), count in census.items():
+        ends = list(accumulate((comb(k, j) for j in range(k + 1)), initial=0))
+        spans[r, k] = [((r - n_minus, r + n_plus - 2 * n_minus - k + 2 * j), a, b)
+                       for j, (a, b) in enumerate(zip(ends, ends[1:]))]
+        for key, a, b in spans[r, k]:
+            sizes[key] = sizes.get(key, 0) + count * (b - a)
+    blocks: dict[tuple[int, int], list[Column]] = {key: [None] * sizes[key] for key in sorted(sizes)}
+    free = {key: [size] for key, size in sizes.items()}  # (t, q) -> [end of its next run]
+    runs = {rk: [(key, free[key], blocks[key], b - a, a, b) for key, a, b in keyed]
+            for rk, keyed in spans.items()}
     entry = [(i, 1) for i in range(max(sizes.values()))]
-    where = by_position(entry)
-    # signed[p][tgt]: the entries of tgt along an edge whose source has
-    # p mod 2 set bits below the edge's bit; over GF(2) both parities
-    # read the unsigned table
-    signed = (where, where)
-    if field == Q:
-        signed = (where, by_position([(i, -1) for i, _ in entry]))
+    negated = [(i, -1) for i, _ in entry] if field == Q else None
 
-    blocks: dict[tuple[int, int], list[Column]] = {key: [] for key in sizes}
-    spans = {}  # (r, k) -> each run's block and its slice of the positions
-    for (r, k), keys in blocks_of.items():
-        ends = list(accumulate(run_len[k], initial=0))
-        spans[r, k] = [(blocks[key], a, b) for key, a, b in zip(keys, ends, ends[1:])]
+    walk = _walker(d)
+    label_of, k_of = [None] * (1 << n), [0] * (1 << n)
+    where, where_neg = [None] * (1 << n), [None] * (1 << n)
+    # signed[p][tgt]: the entries of tgt, by position, along an edge whose
+    # source has p mod 2 set bits below the edge's bit; over GF(2) both
+    # parities read the unsigned tables
+    signed = (where, where_neg if negated else where)
     programs: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-    for s, label in enumerate(label_of):
-        k = k_of[s]
+    for s in reversed(range(1 << n)):
+        label, k = walk(s)
+        k += loops
+        label_of[s], k_of[s] = label, k
+        placed = runs.get((s.bit_count(), k))
+        if placed is None:
+            raise AssertionError(f"census check: no (r, k) = ({s.bit_count()}, {k}) in the census")
         cols: list[Column] = [[] for _ in range(1 << k)]
+        own, own_neg = [], []
+        for key, left, block, size, a, b in placed:
+            o = left[0] - size
+            if o < 0:
+                raise AssertionError(f"census check: the walk overfills C(t={key[0]}, q={key[1]})")
+            left[0] = o
+            block[o:o + size] = cols[a:b]
+            own += entry[o:o + size]
+            if negated:
+                own_neg += negated[o:o + size]
+        where[s], where_neg[s] = own, own_neg
         odd = 0  # parity of the set bits of s below the edge's bit
         for bit, a0, a1, a2 in ports:
             if s & bit:
@@ -356,8 +362,9 @@ def _skeleton(d: Diagram, n_plus: int, n_minus: int, field: str) -> KhComplex:
             to = signed[odd][tgt]
             for m, t in zip(src, dst):
                 cols[m].append(to[t])
-        for block, a, b in spans[s.bit_count(), k]:
-            block.extend(cols[a:b])
+    for (t, q), (o,) in free.items():
+        if o:
+            raise AssertionError(f"census check: the walk leaves C(t={t}, q={q}) {o} short")
     return KhComplex(field, blocks)
 
 

@@ -22,10 +22,6 @@ class Laurent:
         return cls()
 
     @classmethod
-    def one(cls) -> "Laurent":
-        return cls({0: 1})
-
-    @classmethod
     def term(cls, coeff: int, exp: int) -> "Laurent":
         return cls({exp: coeff})
 
@@ -70,18 +66,6 @@ class Laurent:
         return Laurent(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Laurent":
-        if k < 0:
-            raise ValueError("negative powers of a polynomial are not defined")
-        result = Laurent.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def min_exp(self) -> int:
         if not self.coeffs:

@@ -202,9 +202,11 @@ def certify(
     table), else over GF(2).  The atom, n, chi, the genus, the writhe
     and the bracket are those of d, and so is the orientability that
     decides whether the rationals are available.  The bracket comes from
-    one counting pass over d, before the complex's labelled pass; the
-    tables' graded Euler characteristic must give it, which checks the
-    simplification and the labelled pass against an independent pass.
+    one counting pass over d, before the complex is built from the census
+    of ``simplify(d)`` and one sweep of its cube.  The tables' graded
+    Euler characteristic must give the bracket, which checks the
+    simplification and that census against an independent pass; the
+    complex's census check holds the sweep's walk to that census.
     Every limit is checked before the first pass: the Khovanov limits on
     ``simplify(d)``, then the census limit on d.
     """

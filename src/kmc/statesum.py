@@ -15,10 +15,11 @@ which normalizes the unknot to 1, so it depends on a state only
 through (r, circles).  The counting pass ``circle_counts`` returns that
 histogram, the census of the cube, without visiting a state: it smooths
 one crossing at a time and keeps one packed census per pairing of the
-smoothed tangle's ends.  Only ``label_states``, for the Khovanov
-complex, walks every circle of every state, because it keeps each arc's
-label.  The bracket and the single-circle census check their crossing
-limit before the pass starts.
+smoothed tangle's ends.  Only the Khovanov complex walks every circle
+of every state, with the per-state walker ``_walker``, because it keeps
+each arc's label; the census sizes its blocks first.  The bracket and
+the single-circle census check their crossing limit before the pass
+starts.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import LimitError, resolve_limit
 from .laurent import LOOP, Laurent
 
 __all__ = [
-    "label_states",
     "circle_counts",
     "kauffman_bracket",
     "span_bound",
@@ -77,13 +77,6 @@ def circles_of_state(d: Diagram, state: int) -> int:
     if state >> d.n:
         raise ValueError("state has more bits than crossings")
     return _walker(d)(state)[1] + d.free_loops
-
-
-def label_states(d: Diagram) -> list[tuple[list[int], int]]:
-    """Arc labels and circle count (free loops excluded) of every state,
-    in state order: one walk per circle over the whole cube."""
-    walk = _walker(d)
-    return [walk(state) for state in range(1 << d.n)]
 
 
 def circle_counts(d: Diagram) -> dict[tuple[int, int], int]:

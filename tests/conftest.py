@@ -25,17 +25,16 @@ class CubeWalked(BaseException):
 def _wrap_cube_walks(monkeypatch, on_walk) -> None:
     """Call on_walk(kind, d) at every start of a pass whose work grows
     exponentially with n, and every per-state walker built.  The kinds
-    are "labelled" (``label_states``, which walks the cube), "counting"
-    (``circle_counts``, which contracts the crossings and visits no
-    state, but whose pairings can still grow exponentially) and "walker"
-    (``_walker``, which ``label_states`` and ``circles_of_state``
-    build).  Each function is wrapped in every loaded ``kmc`` module
-    that binds it, so a ``from .statesum import ...`` caller is seen
-    too."""
+    are "counting" (``circle_counts``, which contracts the crossings and
+    visits no state, but whose pairings can still grow exponentially;
+    ``kauffman_bracket``, the single-circle census and the Khovanov
+    complex's sizes read it) and "walker" (``_walker``, which the
+    complex's sweep of the cube and ``circles_of_state`` build).  Each
+    function is wrapped in every loaded ``kmc`` module that binds it, so
+    a ``from .statesum import ...`` caller is seen too."""
     import kmc.statesum
 
     for kind, name in (
-        ("labelled", "label_states"),
         ("counting", "circle_counts"),
         ("walker", "_walker"),
     ):

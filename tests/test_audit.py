@@ -3,8 +3,12 @@
 A top-level function or class, a method or a dataclass field of
 ``src/kmc`` that no ``Name``, ``Attribute`` or import in ``src/kmc``
 references serves only its tests; it goes, unless it is a library
-entry listed below.  ``__init__.py`` is left out: re-exporting a name
-gives it no reader.
+entry listed below.  An operator reads its methods: ``a + b`` and
+``a += b`` read ``__add__``, ``__radd__`` and ``__iadd__``, ``-a``
+reads ``__neg__``, ``a < b`` reads ``__lt__`` and ``__gt__``, and an
+f-string reads ``__str__`` and ``__format__``.  Only the methods the
+runtime calls without an operator are allowed by name.
+``__init__.py`` is left out: re-exporting a name gives it no reader.
 """
 
 import ast
@@ -23,6 +27,26 @@ UNREAD_BY_DESIGN = {
     # read by the benchmark under perfbench/
     "circles_of_state": "perfbench/record.py computes chain_dim with it",
     "total_dimension": "perfbench's spans._complex_attrs calls it",
+}
+
+
+# called by the runtime itself: construction, dataclass set-up, repr(),
+# hashing and truth tests
+PROTOCOL = {"__init__", "__post_init__", "__repr__", "__hash__", "__bool__"}
+
+BINARY = {
+    ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.MatMult: "matmul",
+    ast.Div: "truediv", ast.FloorDiv: "floordiv", ast.Mod: "mod", ast.Pow: "pow",
+    ast.LShift: "lshift", ast.RShift: "rshift", ast.BitOr: "or", ast.BitXor: "xor",
+    ast.BitAnd: "and",
+}
+UNARY = {ast.USub: "__neg__", ast.UAdd: "__pos__", ast.Invert: "__invert__", ast.Not: "__bool__"}
+# each comparison and its reflection
+COMPARE = {
+    ast.Eq: ("__eq__",), ast.NotEq: ("__ne__", "__eq__"),
+    ast.Lt: ("__lt__", "__gt__"), ast.Gt: ("__gt__", "__lt__"),
+    ast.LtE: ("__le__", "__ge__"), ast.GtE: ("__ge__", "__le__"),
+    ast.In: ("__contains__",), ast.NotIn: ("__contains__",),
 }
 
 
@@ -62,6 +86,16 @@ def _references(tree: ast.Module):
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 yield alias.name.rpartition(".")[2]
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+            name = BINARY[type(node.op)]
+            yield from (f"__{name}__", f"__r{name}__", f"__i{name}__")
+        elif isinstance(node, ast.UnaryOp):
+            yield UNARY[type(node.op)]
+        elif isinstance(node, ast.Compare):
+            for op in node.ops:
+                yield from COMPARE.get(type(op), ())
+        elif isinstance(node, ast.JoinedStr):
+            yield from ("__str__", "__format__")
 
 
 def test_every_definition_in_the_package_has_a_reader():
@@ -80,7 +114,7 @@ def test_every_definition_in_the_package_has_a_reader():
         for name, where in defined.items()
         if name not in read
         and name not in UNREAD_BY_DESIGN
-        and not (name.startswith("__") and name.endswith("__"))
+        and name not in PROTOCOL
     ]
     assert unread == []
     # the allow-list names only defined names that still have no reader

@@ -336,6 +336,15 @@ def test_certify_table_invalid_json(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
+def test_certify_table_deeply_nested_json(capsys, tmp_path):
+    # json.load recurses once per level and would raise RecursionError
+    p = tmp_path / "table.json"
+    p.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run(capsys, "certify-table", str(p), "--n", "3")
+    assert_one_line_error(code, err)
+    assert "nested too deeply" in err and out == ""
+
+
 def test_certify_table_rejects_non_integer_values(capsys, tmp_path):
     p = tmp_path / "table.json"
     p.write_text(

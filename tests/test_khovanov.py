@@ -30,7 +30,7 @@ from kmc.khovanov import (
 from kmc.laurent import Laurent
 from kmc.linalg import sparse_integer_rank
 from kmc.minimality import _report, certify
-from kmc.statesum import circles_of_state, kauffman_bracket, label_states
+from kmc.statesum import _walker, circles_of_state, kauffman_bracket
 
 UNKNOT = Diagram(0, (), 1)
 
@@ -441,6 +441,33 @@ def test_certify_ranks_each_gf2_block_once(monkeypatch):
         assert ranked == ["build_complex"] * nonempty
 
 
+@pytest.mark.parametrize("name", ["trefoil.pd", "figure8.pd", "6_2.pd", "virtual_trefoil.gauss"])
+@pytest.mark.parametrize("step", [-1, 1, 0])
+def test_the_census_check_catches_a_wrong_census(monkeypatch, name, step):
+    """A census that moves one state from (r, k) to (r, k + step), or
+    with step 0 counts one state too many, sizes the blocks wrongly,
+    whichever (r, k) it is: the sweep's walks overfill a block or leave
+    one short, and build_complex raises before any rank."""
+    d = load(name)
+    fields = [GF2] + ([Q] if orientable(build_atom(d)) else [])
+    real = kh.circle_counts
+    ranked = _count_calls(monkeypatch, "gf2_rank")
+    moves = [(r, k) for r, k in real(d) if k + step > 0]
+    assert moves
+    for r, k in moves:
+        census = real(d)
+        if step:
+            census[r, k] -= 1
+            if not census[r, k]:
+                del census[r, k]
+        census[r, k + step] = census.get((r, k + step), 0) + 1
+        monkeypatch.setattr(kh, "circle_counts", lambda e, census=census: dict(census))
+        for field in fields:
+            with pytest.raises(AssertionError, match="census check"):
+                build_complex(d, field)
+    assert ranked == []
+
+
 # one complex per certify
 
 
@@ -518,11 +545,13 @@ def reference_skeleton(d, field):
     """The complex built edge by edge: each edge tabulates the image of
     the untouched circles' labels for every mask of its source, by
     renumbering through the target's labels, and branches per mask.
-    ``_skeleton`` must give the same blocks, column for column."""
+    Blocks are keyed in sorted (t, q) order.  ``_skeleton`` must give the
+    same blocks, column for column."""
     n_plus, n_minus = crossing_signs(d, orient(d))
     n, loops = d.n, d.free_loops
     arc_of = d.arc_index
-    labels = label_states(d)
+    walk = _walker(d)
+    labels = [walk(s) for s in range(1 << n)]
     k_of = [k + loops for _, k in labels]
     width = max(k_of)
     popcount = [m.bit_count() for m in range(1 << width)]
@@ -551,7 +580,7 @@ def reference_skeleton(d, field):
         for off, k in zip(offsets, k_of)
     ]
 
-    blocks = {key: [] for key in sizes}
+    blocks = {key: [] for key in sorted(sizes)}
     for s, (label, walked) in enumerate(labels):
         k = k_of[s]
         firsts = [label.index(i) for i in range(walked)]  # each circle's first arc
@@ -625,7 +654,8 @@ def test_edge_programs_match_the_reference_on_random_diagrams(virtual, n, seed, 
 
 
 def _single_cycle_edges(d):
-    labels, arc_of = label_states(d), d.arc_index
+    walk, arc_of = _walker(d), d.arc_index
+    labels = [walk(s) for s in range(1 << d.n)]
     return sum(
         label[arc_of[4 * c]] == label[arc_of[4 * c + 2]]
         and labels[s | 1 << c][0][arc_of[4 * c]] == labels[s | 1 << c][0][arc_of[4 * c + 1]]

@@ -133,7 +133,7 @@ def test_a_kinked_knot_over_the_khovanov_limits_certifies(cube_walks):
     cert = certify(d)
     assert (cert.n, cert.twice_genus, cert.verdict) == (17, 0, "INCONCLUSIVE")
     assert [(kind, e.n) for kind, e in cube_walks] == [
-        ("counting", 17), ("labelled", 3), ("walker", 3)
+        ("counting", 17), ("counting", 3), ("walker", 3)
     ]
 
 

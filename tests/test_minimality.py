@@ -70,10 +70,11 @@ def test_empty_field_list_is_rejected(no_cube_walk):
 
 def test_one_cube_pass_per_command(cube_walks):
     """certify makes one counting pass over the diagram as given, for its
-    bracket, then one labelled pass (one walker) over ``simplify(d)``, for
-    its complex; ``kmc bracket`` and the census one counting pass (no
-    walker).  The census reads a, b and chi from its own pass; certify and
-    ``kmc bracket`` read chi from the atom, which walks the circles of two
+    bracket, then, for its complex, one counting pass over ``simplify(d)``,
+    which sizes the blocks, and one sweep of its cube (one walker);
+    ``kmc bracket`` and the census one counting pass (no walker).  The
+    census reads a, b and chi from its own pass; certify and ``kmc
+    bracket`` read chi from the atom, which walks the circles of two
     states, all-A and all-B, by itself: not the cube, and no walker."""
     from kmc.cli import main
     from kmc.single_circle import single_circle_census
@@ -84,24 +85,24 @@ def test_one_cube_pass_per_command(cube_walks):
     d = load("6_2.pd")
     assert simplify(d) is d
     for run, kinds in (
-        (lambda: certify(d), ["counting", "labelled", "walker"]),
-        (lambda: certify(d, [GF2]), ["counting", "labelled", "walker"]),
-        (lambda: certify(d, [Q]), ["counting", "labelled", "walker"]),
+        (lambda: certify(d), ["counting", "counting", "walker"]),
+        (lambda: certify(d, [GF2]), ["counting", "counting", "walker"]),
+        (lambda: certify(d, [Q]), ["counting", "counting", "walker"]),
         (bracket_command, ["counting"]),
         (lambda: single_circle_census(d), ["counting"]),
     ):
         cube_walks.clear()
         run()
         assert cube_walks == [(kind, d) for kind in kinds]
-    # a kinked knot and a knot with a bigon: d's bracket, then the cube of
-    # the simplified diagram
+    # a kinked knot and a knot with a bigon: d's bracket, then the census
+    # and the cube of the simplified diagram
     trefoil = load("trefoil.pd")
     for given in (load("kinked_trefoil.pd"), r2_add(trefoil, 0, 2)):
         simple = simplify(given)
         assert simple == trefoil
         cube_walks.clear()
         certify(given)
-        assert cube_walks == [("counting", given), ("labelled", simple), ("walker", simple)]
+        assert cube_walks == [("counting", given), ("counting", simple), ("walker", simple)]
 
 
 def test_disconnected_rejected():
@@ -315,29 +316,37 @@ def test_invariant_euler_characteristic(monkeypatch):
         certify(load("trefoil.pd"))
 
 
-def test_a_wrong_labelled_pass_is_caught(monkeypatch):
-    """The bracket comes from a counting pass of its own, so the Euler
-    check sees a labelled pass gone wrong on a diagram that simplify
-    leaves alone.  Here state 7 takes state 11's labels: d.d = 0 still
-    holds, and the GF(2) table gets 8 entries instead of 6."""
+def test_a_wrong_labelled_pass_is_caught(monkeypatch, capsys, tmp_path):
+    """The blocks are sized by the census of the diagram whose cube is
+    swept, so the census check sees a walk gone wrong, before any rank,
+    on a diagram that simplify leaves alone.  Here state 7 takes state
+    11's walk: d.d = 0 would still hold, and the GF(2) table would get 8
+    entries instead of 6.  ``kmc certify`` reports it in one line."""
     import kmc.khovanov as kh
+    from kmc.cli import main
     from kmc.diagram import parse_pd
-    from kmc.errors import InvariantError
 
-    d = parse_pd("X 1 2 3 4\nX 5 3 1 2\nX 6 4 7 8\nX 8 6 7 5\n")
+    text = "X 1 2 3 4\nX 5 3 1 2\nX 6 4 7 8\nX 8 6 7 5\n"
+    d = parse_pd(text)
     assert simplify(d) is d and len(certify(d).fields[GF2].entries) == 6
-    real = kh.label_states
+    real = kh._walker
 
     def state_7_as_11(d):
-        labels = real(d)
-        labels[7] = labels[11]
-        return labels
+        walk = real(d)
+        return lambda state: walk(11 if state == 7 else state)
 
-    monkeypatch.setattr(kh, "label_states", state_7_as_11)
-    with pytest.raises(
-        InvariantError, match="graded Euler characteristic over gf2 is not the bracket"
-    ):
+    ranked = []
+    monkeypatch.setattr(kh, "_walker", state_7_as_11)
+    monkeypatch.setattr(kh, "gf2_rank", lambda rows: ranked.append(rows))
+    monkeypatch.setattr(kh, "sparse_integer_rank", lambda rows: ranked.append(rows))
+    with pytest.raises(AssertionError, match="census check: the walk overfills C"):
         certify(d)
+    path = tmp_path / "d.pd"
+    path.write_text(text)
+    assert main(["certify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kmc: census check") and err.count("\n") == 1
+    assert "Traceback" not in err and ranked == []
 
 
 def test_invariant_gf2_at_least_q(monkeypatch):
