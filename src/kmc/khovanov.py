@@ -39,19 +39,20 @@ the source's circle count, and is built once per key: measured at
 n = 8 to 12, 1,024 to 24,576 edges share 65 to 417 keys.
 
 Homology is computed per (t, q) block by exact rank computations: GF(2)
-rows as bitsets, rational blocks by integer elimination (unit pivots
-first, then a fraction-free fallback; see ``linalg``) only where GF(2)
-ranks do not pin them.  With r_F(t) the rank over F of the block
-d_t: C_t -> C_{t+1}, an odd minor is nonzero, so r_Q(t) >= r_2(t), and
-im lies in ker over Q, so r_Q(t-1) + r_Q(t) <= dim C_t.  Where GF(2)
-homology vanishes at C_t, dim C_t = r_2(t-1) + r_2(t), hence r_Q = r_2
-on both blocks at C_t: no 2-torsion lives there (Shumakovitch,
+rows as bitsets, rational blocks by integer elimination (see ``linalg``)
+only where GF(2) ranks do not pin them.  With r_F(t) the rank over F of
+the block d_t: C_t -> C_{t+1}, an odd minor is nonzero, so r_Q(t) >=
+r_2(t), and im lies in ker over Q, so r_Q(t-1) + r_Q(t) <= dim C_t.
+Where GF(2) homology vanishes at C_t, dim C_t = r_2(t-1) + r_2(t), hence
+r_Q = r_2 on both blocks at C_t: no 2-torsion lives there (Shumakovitch,
 arXiv:math/0405474).  This needs d.d = 0 over Q, for im in ker, and
-over GF(2), for the GF(2) table to be homology.  One integer check gives
-both: the GF(2) blocks are the Q blocks reduced mod 2, entry for entry,
-so d.d = 0 over Z reduces to d.d = 0 mod 2.  A complex built over GF(2)
-alone is checked by XOR in the pass that ranks its blocks: each block's
-columns become bitsets once, are ranked, and check the block before.
+over GF(2), for the GF(2) table to be homology.  One pass over the
+blocks checks it and takes the GF(2) ranks: each block's columns become
+bitsets once, check the block before, and are ranked.  On a complex over
+Q the check sums exactly over the integers, which gives both fields:
+the GF(2) blocks are the Q blocks reduced mod 2, entry for entry, so
+d.d = 0 over Z reduces to d.d = 0 mod 2.  On a complex over GF(2) it
+XORs the bitsets.
 """
 
 from __future__ import annotations
@@ -106,7 +107,8 @@ class KhComplex:
     (t, q) has one column per element, so its length is dim C(t, q)."""
 
     field: str
-    # (t, q) -> one column per basis element, mapping into (t+1, q)
+    # (t, q) -> one column per basis element, mapping into (t+1, q); in
+    # increasing (t, q) order
     blocks: dict[tuple[int, int], list[Column]]
     # (t, q) -> GF(2) rank of the nonempty block leaving (t, q) reduced
     # mod 2; filled by ``build_complex``
@@ -250,20 +252,18 @@ def check_orientable(d: Diagram) -> None:
 def build_complex(
     d: Diagram, field: str = GF2, *, max_crossings: int | None = None
 ) -> KhComplex:
-    """Build the cube complex of d over GF(2) or Q, check d.d = 0 and
-    rank every block over GF(2).
+    """Build the cube complex of d over GF(2) or Q, then check d.d = 0
+    and rank every block over GF(2) in one pass (``_gf2_pass``).
 
     Rational coefficients require an orientable atom (``check_field``
     reads it from d).  Over Q, d.d = 0 is checked by exact integer sums,
-    which implies it mod 2; over GF(2), by XOR in the pass that ranks the
-    blocks.  A failed check, or a single-cycle edge over Q, raises an
-    AssertionError.  The GF(2) ranks are kept in gf2_ranks, so a complex
-    over Q carries both tables (see ``homology``).
+    which implies it mod 2; over GF(2), by XOR.  A failed check, or a
+    single-cycle edge over Q, raises an AssertionError.  The GF(2) ranks
+    are kept in gf2_ranks, so a complex over Q carries both tables (see
+    ``homology``).
     """
     check_field(d, field, max_crossings=max_crossings)
     complex_ = _skeleton(d, *crossing_signs(d, orient(d)), field)
-    if field == Q:
-        _assert_d_squared_zero(complex_)
     complex_.gf2_ranks = _gf2_pass(complex_)
     return complex_
 
@@ -416,47 +416,39 @@ def _edge_program(
     return src, tgt
 
 
-def _assert_d_squared_zero(c: KhComplex) -> None:
-    """d.d = 0 over the integers, block by block, by exact accumulation
-    along every path of length two."""
-    for (t, q), cols in c.blocks.items():
-        nxt = c.blocks.get((t + 1, q))
-        if not nxt:
-            continue
-        for col in cols:
-            sums: dict[int, int] = {}
-            for i, a in col:
-                for j, b in nxt[i]:
-                    sums[j] = sums.get(j, 0) + a * b
-            if any(sums.values()):
-                raise AssertionError(
-                    f"differential does not square to zero at (t={t}, q={q})"
-                )
-
-
 def _gf2_pass(c: KhComplex) -> dict[tuple[int, int], int]:
-    """The GF(2) rank of every nonempty block, its +-1 entries read as 1.
+    """Check d.d = 0 and return the GF(2) rank of every nonempty block,
+    its +-1 entries read as 1, in one visit of each block in (t, q)
+    order.
 
-    Each block's columns become bitsets once (a column's targets are
+    A block's columns become bitsets once (a column's targets are
     distinct, so the sum is an OR) and are ranked as rows: transposition
-    preserves rank.  On a complex over GF(2) the same bitsets check
-    d.d = 0: every column of the block before must XOR its targets'
-    bitsets to zero.  Over Q the integer check has already shown that.
+    preserves rank.  Before the rank, every column of the block before
+    must map to zero through this one: over GF(2) its targets' bitsets
+    XOR to zero; over Q the exact integer sums along every path of
+    length two vanish, which implies it mod 2.
     """
     ranks: dict[tuple[int, int], int] = {}
+    over_q = c.field == Q
     for (t, q), cols in c.blocks.items():
         if not cols:
             continue
         bits = [sum([1 << i for i, _ in col]) for col in cols]
-        if c.field == GF2:
-            for col in c.blocks.get((t - 1, q), ()):
-                acc = 0
+        for col in c.blocks.get((t - 1, q), ()):
+            if over_q:
+                sums: dict[int, int] = {}
+                for i, a in col:
+                    for j, b in cols[i]:
+                        sums[j] = sums.get(j, 0) + a * b
+                nonzero = any(sums.values())
+            else:
+                nonzero = 0
                 for i, _ in col:
-                    acc ^= bits[i]
-                if acc:
-                    raise AssertionError(
-                        f"differential does not square to zero at (t={t - 1}, q={q})"
-                    )
+                    nonzero ^= bits[i]
+            if nonzero:
+                raise AssertionError(
+                    f"differential does not square to zero at (t={t - 1}, q={q})"
+                )
         ranks[t, q] = gf2_rank(bits)
         del bits  # else it lives on while the next block's bitsets are built
     return ranks
@@ -480,7 +472,7 @@ def homology(c: KhComplex, field: str | None = None) -> KhTable:
         gf2_homology = _dimensions(c, ranks)
         for (t, q), rank in c.gf2_ranks.items():
             if (t, q) in gf2_homology and (t + 1, q) in gf2_homology:
-                ranks[t, q] = sparse_integer_rank([dict(col) for col in c.blocks[t, q]])
+                ranks[t, q] = sparse_integer_rank(c.blocks[t, q])
                 if ranks[t, q] < rank:
                     raise AssertionError(f"Q rank below GF(2) rank at (t={t}, q={q})")
     return KhTable(field, _dimensions(c, ranks))

@@ -29,8 +29,6 @@ class Laurent:
         return bool(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = Laurent({0: other})
         if not isinstance(other, Laurent):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -38,48 +36,24 @@ class Laurent:
     def __hash__(self) -> int:
         return hash(frozenset(self.coeffs.items()))
 
-    def __add__(self, other: "Laurent | int") -> "Laurent":
-        if isinstance(other, int):
-            other = Laurent({0: other})
+    def __add__(self, other: "Laurent") -> "Laurent":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
         return Laurent(out)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "Laurent":
-        return Laurent({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "Laurent | int") -> "Laurent":
-        if isinstance(other, int):
-            other = Laurent({0: other})
-        return self + (-other)
-
-    def __mul__(self, other: "Laurent | int") -> "Laurent":
-        if isinstance(other, int):
-            other = Laurent({0: other})
+    def __mul__(self, other: "Laurent") -> "Laurent":
         out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
         return Laurent(out)
 
-    __rmul__ = __mul__
-
-    def min_exp(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no degrees")
-        return min(self.coeffs)
-
-    def max_exp(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no degrees")
-        return max(self.coeffs)
-
     def span(self) -> int:
         """Leading degree minus lowest degree (0 for a monomial)."""
-        return self.max_exp() - self.min_exp()
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no degrees")
+        return max(self.coeffs) - min(self.coeffs)
 
     def substitute_signed_power(self, sign: int, k: int) -> "Laurent":
         """Replace the variable x by sign * y^k, returning a polynomial in y.

@@ -1,11 +1,11 @@
 """Exact rank computations over GF(2) and over the rationals.
 
-GF(2) vectors are Python ints used as bitsets.  Rational ranks run on
-sparse integer rows in two exact phases: elimination on +-1 pivots,
-which needs only integer updates, then a fraction-free fallback with
-cross-multiplied eliminations and gcd normalization for whatever rows
-have no unit entry left.  Everything stays integral; floating point,
-modular and probabilistic arithmetic are never involved.
+GF(2) vectors are Python ints used as bitsets.  Rational ranks run one
+exact elimination on sparse integer rows: +-1 pivots while any row has
+one, which need only integer updates, else a pivot of least absolute
+value, whose updates cross-multiply and divide each changed row by the
+gcd of its entries.  Everything stays integral; floating point, modular
+and probabilistic arithmetic are never involved.
 """
 
 from __future__ import annotations
@@ -32,28 +32,35 @@ def gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-def _normalize(row: dict[int, int]) -> dict[int, int]:
+def _normalize(row: dict[int, int]) -> None:
+    """Divide row, in place, by the gcd of its entries."""
     g = 0
     for v in row.values():
         g = gcd(g, v)
         if g == 1:
-            return row
-    return {k: v // g for k, v in row.items()}
+            return
+    if g:
+        for k in row:
+            row[k] //= g
 
 
-def sparse_integer_rank(rows: list[dict[int, int]]) -> int:
-    """Rank over Q of sparse integer rows (maps column -> entry).
+def sparse_integer_rank(rows: list[list[tuple[int, int]]]) -> int:
+    """Rank over Q of sparse integer rows, each a list of (column,
+    entry) pairs with distinct columns.
 
-    Phase 1 takes rows shortest first.  In each it picks the +-1 entry
+    Rows are taken shortest first.  In each the pivot is the +-1 entry
     whose column meets the fewest rows (a Markowitz-style choice that
-    limits fill-in), clears that column from every other row with the
-    integer update ``r_j -= (r_j[c] * p) * r`` -- exact because p = +-1
-    -- and drops the pivot row, counting one towards the rank.  A row
-    with no unit entry waits and is taken again if a later update
-    changes it.  Phase 2 hands the rows still waiting to
-    ``_fraction_free_rank``.  The caller's rows are not modified.
+    limits fill-in); a row with no unit entry waits, and is taken again
+    if a later update changes it.  When every row left waits, the
+    shortest is taken and pivots on its entry p of least absolute value.
+    The pivot row r clears p's column from every other row r_j, whose
+    entry there is f: r_j -= (f * p) * r when p = +-1, else r_j =
+    (p/g) r_j - (f/g) r with g = gcd(p, f), and r_j is divided by the gcd
+    of its entries.  Each pivot row counts one towards the rank and is
+    dropped.  The rows are copied once, into dicts; the caller's rows are
+    not modified.
     """
-    work = [{k: v for k, v in row.items() if v} for row in rows]
+    work = [{k: v for k, v in row if v} for row in rows]
     col_rows: dict[int, set[int]] = {}
     for i, row in enumerate(work):
         for k in row:
@@ -61,24 +68,30 @@ def sparse_integer_rank(rows: list[dict[int, int]]) -> int:
                 col_rows[k].add(i)
             else:
                 col_rows[k] = {i}
-    heap = [(len(row), i) for i, row in enumerate(work) if row]
+    # (waits, size, row): a row with no unit entry is pushed again with
+    # waits = 1, so it is taken only once no row with waits = 0 is left
+    heap = [(0, len(row), i) for i, row in enumerate(work) if row]
     heapify(heap)
     rank = 0
     while heap:
-        size, i = heappop(heap)
+        waits, size, i = heappop(heap)
         row = work[i]
         if len(row) != size:
             continue  # stale entry: the row changed or was a pivot
-        col, fewest = None, 0
-        for k, v in row.items():
-            if v == 1 or v == -1:
-                count = len(col_rows[k])
-                if col is None or count < fewest:
-                    col, fewest = k, count
-                    if count == 1:
-                        break
-        if col is None:
-            continue
+        if waits:
+            col = min(row, key=lambda k: abs(row[k]))
+        else:
+            col, fewest = None, 0
+            for k, v in row.items():
+                if v == 1 or v == -1:
+                    count = len(col_rows[k])
+                    if col is None or count < fewest:
+                        col, fewest = k, count
+                        if count == 1:
+                            break
+            if col is None:
+                heappush(heap, (1, size, i))
+                continue
         p = row.pop(col)
         work[i] = {}
         rank += 1
@@ -88,7 +101,15 @@ def sparse_integer_rank(rows: list[dict[int, int]]) -> int:
         others.discard(i)
         for j in others:
             other = work[j]
-            f = other.pop(col) * p
+            f = other.pop(col)
+            if waits:
+                g = gcd(p, f)
+                f //= g
+                scale = p // g
+                for k in other:
+                    other[k] *= scale
+            else:
+                f *= p
             for k, v in row.items():
                 w = other.get(k, 0) - f * v
                 if w:
@@ -98,36 +119,8 @@ def sparse_integer_rank(rows: list[dict[int, int]]) -> int:
                 else:
                     del other[k]
                     col_rows[k].discard(j)
+            if waits:
+                _normalize(other)
             if other:
-                heappush(heap, (len(other), j))
-    return rank + _fraction_free_rank([row for row in work if row])
-
-
-def _fraction_free_rank(rows: list[dict[int, int]]) -> int:
-    """Rank over Q of sparse integer rows without zero entries.
-
-    Elimination uses integer cross-multiplication (never divides except
-    by a row gcd), which preserves the row space over Q exactly.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
-    for row in rows:
-        while row:
-            col = min(row)
-            pivot = pivots.get(col)
-            if pivot is None:
-                pivots[col] = _normalize(row)
-                rank += 1
-                break
-            a, b = row[col], pivot[col]
-            g = gcd(a, b)
-            ma, mb = b // g, a // g
-            new = {k: ma * v for k, v in row.items()}
-            for k, v in pivot.items():
-                w = new.get(k, 0) - mb * v
-                if w:
-                    new[k] = w
-                else:
-                    new.pop(k, None)
-            row = _normalize(new)
+                heappush(heap, (0, len(other), j))
     return rank

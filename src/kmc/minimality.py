@@ -36,39 +36,23 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 @dataclass(frozen=True)
 class FieldReport:
-    """One field's Khovanov table and whether it attains the q-span
-    bound 2n + chi and the thickness bound genus + 2; the numbers are
-    read off the table."""
+    """One field's Khovanov table, its thickness and q-span, and whether
+    they attain the thickness bound genus + 2 and the q-span bound
+    2n + chi."""
 
     field: str
     entries: dict[tuple[int, int], int]
+    thickness: Fraction
+    q_span: int
+    q_min: int
+    q_max: int
     broad_1_complete: bool
     two_complete: bool
-
-    @property
-    def table(self) -> kh.KhTable:
-        return kh.KhTable(self.field, self.entries)
-
-    @property
-    def thickness(self) -> Fraction:
-        return kh.thickness(self.table)
-
-    @property
-    def q_span(self) -> int:
-        return kh.q_span(self.table)
-
-    @property
-    def q_min(self) -> int:
-        return self.table.q_min()
-
-    @property
-    def q_max(self) -> int:
-        return self.table.q_max()
 
     def to_json_dict(self) -> dict:
         return {
             "field": self.field,
-            "entries": self.table.to_json_dict()["entries"],
+            "entries": kh.KhTable(self.field, self.entries).to_json_dict()["entries"],
             "thickness": kh.json_number(self.thickness),
             "q_span": self.q_span,
             "q_min": self.q_min,
@@ -165,6 +149,7 @@ def _report(
     1-completeness (q-span against 2n + chi) for one table; the report
     and the two reasoning lines."""
     thick, span, bound = kh.thickness(tab), kh.q_span(tab), 2 * n + chi
+    q_min, q_max = tab.q_min(), tab.q_max()
     two = _attains(
         thick, genus + 2,
         f"thickness over {tab.field} is {thick}, above genus + 2 = {genus + 2}", error,
@@ -172,11 +157,11 @@ def _report(
     broad = _attains(
         span, bound,
         f"q-span {span} exceeds 2n + chi = {bound}; the table cannot come"
-        f" from an {n}-crossing diagram with chi = {chi}", error,
+        f" from a diagram with {n} crossings and chi = {chi}", error,
     )
     return (
-        FieldReport(tab.field, dict(tab.entries), broad, two),
-        f"q-span = {span} (q in [{tab.q_min()}, {tab.q_max()}]), bound 2n + chi ="
+        FieldReport(tab.field, dict(tab.entries), thick, span, q_min, q_max, broad, two),
+        f"q-span = {span} (q in [{q_min}, {q_max}]), bound 2n + chi ="
         f" {bound} -> broad 1-completeness {'holds' if broad else 'fails'}",
         f"thickness {thick} vs genus + 2 = {genus + 2} -> 2-completeness"
         f" {'holds' if two else 'fails'}",

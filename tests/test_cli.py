@@ -345,6 +345,21 @@ def test_certify_table_deeply_nested_json(capsys, tmp_path):
     assert "nested too deeply" in err and out == ""
 
 
+def test_certify_table_q_span_above_its_bound(capsys, tmp_path):
+    # two diagonals 10^12 + 1 apart: the thickness pins chi, and the
+    # q-span then exceeds 2n + chi for three crossings
+    p = tmp_path / "table.json"
+    p.write_text(json.dumps({"entries": [
+        {"t": 0, "q": 0, "dim": 1}, {"t": 0, "q": 10**12 + 1, "dim": 1},
+    ]}))
+    code, out, err = run(capsys, "certify-table", str(p), "--n", "3")
+    assert_one_line_error(code, err)
+    assert out == "" and err == (
+        "kmc: q-span 1000000000001 exceeds 2n + chi = -999999999991; the table"
+        " cannot come from a diagram with 3 crossings and chi = -999999999997\n"
+    )
+
+
 def test_certify_table_rejects_non_integer_values(capsys, tmp_path):
     p = tmp_path / "table.json"
     p.write_text(
@@ -435,8 +450,7 @@ def test_failed_internal_check_is_a_one_line_error(capsys, monkeypatch):
     def fail(c):
         raise AssertionError("differential does not square to zero at (t=0, q=1)")
 
-    # the integer pass checks Q builds, the GF(2) pass GF(2) builds
-    monkeypatch.setattr(kh, "_assert_d_squared_zero", fail)
+    # the one pass over the blocks checks builds over either field
     monkeypatch.setattr(kh, "_gf2_pass", fail)
     for argv in (["certify"], ["certify", "--fields", "gf2"], ["kh", "--field", "q"]):
         code, out, err = run(capsys, argv[0], str(FIXTURES / "trefoil.pd"), *argv[1:])

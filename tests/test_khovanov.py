@@ -18,7 +18,6 @@ from kmc.khovanov import (
     GF2,
     KhTable,
     Q,
-    _assert_d_squared_zero,
     _gf2_pass,
     build_complex,
     graded_euler_characteristic,
@@ -341,17 +340,17 @@ def test_d_squared_checks_catch_a_changed_entry(d):
     assume(spot is not None)
     key, j, e = spot
     fields = [gf2] + ([build_complex(d, Q)] if orientable(build_atom(d)) else [])
-    for c, check in zip(fields, [_gf2_pass, _assert_d_squared_zero]):
+    for c in fields:
         dropped = copy.deepcopy(c)
         del dropped.blocks[key][j][e]
         with pytest.raises(AssertionError, match="square to zero"):
-            check(dropped)
+            _gf2_pass(dropped)
     if len(fields) == 2:  # signs exist over Q only; mod 2 a flip is no change
         flipped = copy.deepcopy(fields[1])
         i, v = flipped.blocks[key][j][e]
         flipped.blocks[key][j][e] = (i, -v)
         with pytest.raises(AssertionError, match="square to zero"):
-            _assert_d_squared_zero(flipped)
+            _gf2_pass(flipped)
 
 
 @settings(max_examples=30, deadline=None)
@@ -372,7 +371,7 @@ def full_elimination_table(d):
     """The rational table with every block eliminated exactly: the
     reference for the ranks that homology takes from GF(2)."""
     c = build_complex(d, Q)
-    ranks = {key: sparse_integer_rank([dict(col) for col in cols]) for key, cols in c.blocks.items()}
+    ranks = {key: sparse_integer_rank(cols) for key, cols in c.blocks.items()}
     entries = {}
     for (t, q), cols in c.blocks.items():
         dim = len(cols) - ranks.get((t, q), 0) - ranks.get((t - 1, q), 0)
@@ -507,17 +506,16 @@ def test_the_one_integer_pass_catches_a_changed_entry(monkeypatch, name, change)
 
 @pytest.mark.parametrize("fields", [None, [GF2, Q], [GF2], [Q]])
 def test_certify_builds_and_checks_one_complex(monkeypatch, fields):
-    """One build; over Q one integer d.d pass then the GF(2) pass, which
-    does the XOR check only on a complex over GF(2)."""
+    """One build, over Q when the rationals are asked for, and one pass
+    over its blocks, which checks d.d = 0 and ranks them."""
     built, checked = [], []
-    real_build, real_check, real_pass = kh.build_complex, kh._assert_d_squared_zero, kh._gf2_pass
+    real_build, real_pass = kh.build_complex, kh._gf2_pass
     monkeypatch.setattr(kh, "build_complex", lambda *a, **kw: built.append(a) or real_build(*a, **kw))
-    monkeypatch.setattr(kh, "_assert_d_squared_zero", lambda c: checked.append(("Z", c.field)) or real_check(c))
-    monkeypatch.setattr(kh, "_gf2_pass", lambda c: checked.append(("gf2", c.field)) or real_pass(c))
+    monkeypatch.setattr(kh, "_gf2_pass", lambda c: checked.append(c.field) or real_pass(c))
     certify(load("6_2.pd"), fields)
     over_q = fields is None or Q in fields
     assert len(built) == 1
-    assert checked == ([("Z", Q), ("gf2", Q)] if over_q else [("gf2", GF2)])
+    assert checked == [Q if over_q else GF2]
 
 
 def test_the_xor_pass_catches_a_dropped_entry_on_a_non_orientable_atom(monkeypatch):

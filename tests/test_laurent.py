@@ -5,14 +5,15 @@ from kmc.laurent import LOOP, Laurent
 
 def test_zero_and_one():
     assert not Laurent.zero()
-    assert Laurent({0: 1}) == 1
-    assert Laurent.zero() + 1 == 1
+    assert Laurent({0: 1}) == Laurent({0: 1, 2: 0})
+    assert Laurent.zero() + Laurent({0: 1}) == Laurent({0: 1})
+    assert Laurent({0: 1}) != 1  # no Laurent equals an int
 
 
 def test_no_zero_coefficients_stored():
-    p = Laurent({3: 1}) - Laurent({3: 1})
+    p = Laurent({3: 1}) + Laurent({3: -1})
     assert p.coeffs == {}
-    assert p == 0
+    assert p == Laurent.zero()
 
 
 def test_arithmetic():
@@ -20,7 +21,7 @@ def test_arithmetic():
     q = Laurent({0: 1, 1: -2})
     assert p + q == Laurent({1: 0, -1: 3, 0: 1, 1: 0}) + Laurent({1: 0})
     assert (p + q).coeffs == {-1: 3, 0: 1}
-    assert p * 1 == p
+    assert p * Laurent({0: 1}) == p
     assert p * q == Laurent({1: 2, 2: -4, -1: 3, 0: -6})
 
 

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import load
+from kmc.khovanov import Q, build_complex
 from kmc.linalg import sparse_integer_rank
 
 MAX_COLS = 8
 
 # Mostly +-1, as in the Khovanov differentials, with a few non-units so
-# that the fraction-free fallback runs, and zeros that must be ignored.
+# that non-unit pivots run, and zeros that must be ignored.
 ENTRIES = st.sampled_from([1, -1, 1, -1, 1, -1, 2, -3, 6, 0])
 ROWS = st.lists(
     st.dictionaries(st.integers(0, MAX_COLS - 1), ENTRIES, max_size=MAX_COLS),
@@ -49,10 +51,16 @@ def rows_with_dependencies(draw):
     return draw(st.permutations(rows))
 
 
+def pairs(rows: list[dict[int, int]]) -> list[list[tuple[int, int]]]:
+    """The rows as sparse_integer_rank takes them: (column, entry) pairs."""
+    return [list(row.items()) for row in rows]
+
+
 def check(rows):
-    before = copy.deepcopy(rows)
-    assert sparse_integer_rank(rows) == reference_rank(rows)
-    assert rows == before
+    as_pairs = pairs(rows)
+    before = copy.deepcopy(as_pairs)
+    assert sparse_integer_rank(as_pairs) == reference_rank(rows)
+    assert as_pairs == before
 
 
 @settings(deadline=None)
@@ -67,27 +75,42 @@ def test_rank_with_duplicate_and_dependent_rows(rows):
     check(rows)
 
 
-def test_no_unit_entry_uses_fallback_only():
+def test_no_unit_entry_pivots_on_least_entries():
     rows = [{0: 2, 1: 4}, {0: 3, 1: 6}, {1: 6, 2: -10}, {0: 6, 2: 15}]
-    assert sparse_integer_rank(rows) == reference_rank(rows) == 3
-    assert sparse_integer_rank([{0: 2, 1: 4}, {0: -3, 1: -6}]) == 1
+    assert sparse_integer_rank(pairs(rows)) == reference_rank(rows) == 3
+    assert sparse_integer_rank(pairs([{0: 2, 1: 4}, {0: -3, 1: -6}])) == 1
 
 
 def test_unit_elimination_leaving_non_unit_entries():
-    # eliminating column 0 leaves {1: -2}, which only the fallback can use
-    assert sparse_integer_rank([{0: 1, 1: 1}, {0: 1, 1: -1}]) == 2
+    # eliminating column 0 leaves {1: -2}, which only a non-unit pivot can use
+    assert sparse_integer_rank(pairs([{0: 1, 1: 1}, {0: 1, 1: -1}])) == 2
+
+
+def test_non_unit_pivot_leaving_unit_entries():
+    # No row has a unit entry, so the first pivot is 2 in column 0.  It
+    # turns the next rows into 2 r - 3 r_0 = {1: 1, 2: -1}, {1: 1, 3: 2}
+    # and, after dividing by 2, their sum; units pivot from there.
+    rows = [{0: 2, 1: 3, 2: 5}, {0: 3, 1: 5, 2: 7}, {0: 6, 1: 10, 2: 15, 3: 2}, {0: 2, 1: 7, 2: 3, 3: 4}]
+    assert sparse_integer_rank(pairs(rows)) == reference_rank(rows) == 3
+    assert sparse_integer_rank(pairs(rows[:3])) == reference_rank(rows[:3]) == 3
 
 
 def test_empty_input():
     assert sparse_integer_rank([]) == 0
-    assert sparse_integer_rank([{}, {}]) == 0
-    assert sparse_integer_rank([{0: 0, 3: 0}]) == 0
+    assert sparse_integer_rank([[], []]) == 0
+    assert sparse_integer_rank([[(0, 0), (3, 0)]]) == 0
 
 
 def test_caller_rows_unmodified():
-    rows = [{0: 1, 1: -1, 2: 0}, {0: 1, 2: 1}, {1: 1, 2: 1}, {}, {0: 2, 1: 2}]
+    rows = [[(0, 1), (1, -1), (2, 0)], [(0, 1), (2, 1)], [(1, 1), (2, 1)], [], [(0, 2), (1, 2)]]
     before = copy.deepcopy(rows)
     ids = [id(r) for r in rows]
-    assert sparse_integer_rank(rows) == reference_rank(before) == 3
+    assert sparse_integer_rank(rows) == reference_rank([dict(r) for r in before]) == 3
     assert rows == before
     assert [id(r) for r in rows] == ids
+    # a rational block's column lists, passed straight in as homology does
+    c = build_complex(load("6_2.pd"), Q)
+    for cols in c.blocks.values():
+        before = copy.deepcopy(cols)
+        assert sparse_integer_rank(cols) == reference_rank([dict(col) for col in before])
+        assert cols == before
