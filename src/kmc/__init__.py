@@ -1,7 +1,7 @@
 """Kauffman bracket, atoms, Khovanov homology and diagram minimality
 certificates for classical and virtual link diagrams."""
 
-from .atom import Atom, GenusValue, build_atom, genus, orientable
+from .atom import Atom, build_atom, orientable
 from .diagram import (
     Diagram,
     components,

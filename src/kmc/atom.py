@@ -26,7 +26,8 @@ component with no crossings (a free loop) is a sphere: one white and
 one black cell, chi = 2.
 
 A connected diagram has twice_genus = 2 - chi.  For a disconnected
-diagram the genus reported here is the sum over components, while chi
+diagram ``build_atom`` sums 2 - chi_i over the components (a free loop
+adds 0) and the atom is orientable iff every component is, while chi
 stays the honest Euler characteristic of the disjoint surface (the
 quantity the bracket span bound wants).
 """
@@ -40,55 +41,37 @@ from .diagram import Diagram, crossing_components, port_cycles
 
 __all__ = [
     "Atom",
-    "GenusValue",
     "build_atom",
     "orientable",
-    "genus",
 ]
 
 
 @dataclass(frozen=True)
 class Atom:
-    """Cell counts of the atom of a diagram.
-
-    a / b count the white (all-A) / black (all-B) cells, free loops
-    included.  component_chis / component_orientable describe the
-    connected components of the diagram (crossing components first, in
-    order of least crossing, then one sphere per free loop).
+    """The atom of a diagram: n crossings, a white (all-A) and b black
+    (all-B) cells, free loops included, and the genus summed over the
+    components, kept as twice the genus to stay integral.  A
+    non-orientable component may add a half-integer genus (odd
+    twice_genus); an orientable atom always has even twice_genus.
     """
 
     n: int
     a: int
     b: int
-    component_chis: tuple[int, ...]
-    component_orientable: tuple[bool, ...]
+    twice_genus: int
+    orientable: bool
 
     @property
     def chi(self) -> int:
         return self.a + self.b - self.n
 
-
-@dataclass(frozen=True)
-class GenusValue:
-    """Genus of the atom, kept as twice the genus to stay integral.
-
-    Non-orientable components may contribute half-integer genus (odd
-    twice_genus); orientable atoms always have even twice_genus.
-    """
-
-    twice_genus: int
-    orientable: bool
-
     @property
-    def value(self) -> Fraction:
+    def genus(self) -> Fraction:
         return Fraction(self.twice_genus, 2)
-
-    def __str__(self) -> str:
-        return str(self.value)
 
 
 def build_atom(d: Diagram) -> Atom:
-    """Count the cells and classify each diagram component's surface."""
+    """Count the cells and sum the genus over the diagram's components."""
     comp, count, flat = crossing_components(d)
     # one crossing on each white (all-A) and black (all-B) cell
     white = [cycle[0] >> 2 for cycle in port_cycles(d, 1)]
@@ -99,24 +82,14 @@ def build_atom(d: Diagram) -> Atom:
         chi[comp[c]] += 1
     for k in comp:
         chi[k] -= 1
+    for chi_k in chi:
+        if chi_k > 2:
+            raise AssertionError(f"component chi {chi_k} exceeds 2")
     loops = d.free_loops
-    return Atom(
-        n=d.n,
-        a=len(white) + loops,
-        b=len(black) + loops,
-        component_chis=tuple(chi) + (2,) * loops,
-        component_orientable=tuple(k not in flat for k in range(count)) + (True,) * loops,
-    )
+    return Atom(d.n, len(white) + loops, len(black) + loops, 2 * count - sum(chi), not flat)
 
 
+# kept for the benchmark, as statesum.circles_of_state is:
+# perfbench/record.py reads it
 def orientable(a: Atom) -> bool:
-    return all(a.component_orientable)
-
-
-def genus(a: Atom) -> GenusValue:
-    """Total genus, summed over components as twice_genus = sum(2 - chi_i)."""
-    for chi in a.component_chis:
-        if chi > 2:
-            raise AssertionError(f"component chi {chi} exceeds 2")
-    twice = sum(2 - chi for chi in a.component_chis)
-    return GenusValue(twice, orientable(a))
+    return a.orientable

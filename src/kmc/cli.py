@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import khovanov as kh
-from .atom import build_atom, genus as atom_genus
+from .atom import build_atom
 from .diagram import Diagram, parse_gauss, parse_pd
 from .errors import KmcError, ParseError
 from .minimality import MINIMAL, _strict_1_complete, certify, certify_from_table
@@ -89,7 +89,6 @@ def _cmd_bracket(args: argparse.Namespace) -> int:
 def _cmd_atom(args: argparse.Namespace) -> int:
     d = load_diagram(args.file)
     atom = build_atom(d)
-    g = atom_genus(atom)
     if args.json:
         _print_json(
             {
@@ -97,16 +96,16 @@ def _cmd_atom(args: argparse.Namespace) -> int:
                 "a": atom.a,
                 "b": atom.b,
                 "chi": atom.chi,
-                "orientable": g.orientable,
-                "twice_genus": g.twice_genus,
+                "orientable": atom.orientable,
+                "twice_genus": atom.twice_genus,
             }
         )
     else:
         print(f"a: {atom.a}")
         print(f"b: {atom.b}")
         print(f"chi: {atom.chi}")
-        print(f"orientable: {'yes' if g.orientable else 'no'}")
-        print(f"genus: {g}")
+        print(f"orientable: {'yes' if atom.orientable else 'no'}")
+        print(f"genus: {atom.genus}")
     return 0
 
 
@@ -159,8 +158,7 @@ def _cmd_k1(args: argparse.Namespace) -> int:
     census = single_circle_census(d, max_crossings=args.max_crossings)
     checks = {
         "within_window": census.within_window,
-        "amplitude_bounded": census.is_empty
-        or census.amplitude <= 2 - census.chi,
+        "amplitude_bounded": census.amplitude_bounded,
         "parity_consistent": census.parity_consistent,
     }
     if args.json:

@@ -110,8 +110,8 @@ class KhComplex:
     # (t, q) -> one column per basis element, mapping into (t+1, q); in
     # increasing (t, q) order
     blocks: dict[tuple[int, int], list[Column]]
-    # (t, q) -> GF(2) rank of the nonempty block leaving (t, q) reduced
-    # mod 2; filled by ``build_complex``
+    # (t, q) -> GF(2) rank of the block leaving (t, q) reduced mod 2,
+    # for every block; filled by ``build_complex``
     gf2_ranks: dict[tuple[int, int], int] = field(default_factory=dict)
 
     # kept for the benchmark: perfbench's spans._complex_attrs calls it
@@ -417,9 +417,8 @@ def _edge_program(
 
 
 def _gf2_pass(c: KhComplex) -> dict[tuple[int, int], int]:
-    """Check d.d = 0 and return the GF(2) rank of every nonempty block,
-    its +-1 entries read as 1, in one visit of each block in (t, q)
-    order.
+    """Check d.d = 0 and return the GF(2) rank of every block, its +-1
+    entries read as 1, in one visit of each block in (t, q) order.
 
     A block's columns become bitsets once (a column's targets are
     distinct, so the sum is an OR) and are ranked as rows: transposition
@@ -431,8 +430,6 @@ def _gf2_pass(c: KhComplex) -> dict[tuple[int, int], int]:
     ranks: dict[tuple[int, int], int] = {}
     over_q = c.field == Q
     for (t, q), cols in c.blocks.items():
-        if not cols:
-            continue
         bits = [sum([1 << i for i, _ in col]) for col in cols]
         for col in c.blocks.get((t - 1, q), ()):
             if over_q:
@@ -522,7 +519,7 @@ def q_span(tab: KhTable) -> int:
 
 def graded_euler_characteristic(tab: KhTable) -> Laurent:
     """Sum of (-1)^t dim q^q over the table, as a Laurent polynomial in q."""
-    total = Laurent.zero()
+    total = Laurent()
     for (t, q), dim in tab.entries.items():
         total = total + Laurent.term(-dim if t % 2 else dim, q)
     return total

@@ -18,10 +18,6 @@ class Laurent:
         }
 
     @classmethod
-    def zero(cls) -> "Laurent":
-        return cls()
-
-    @classmethod
     def term(cls, coeff: int, exp: int) -> "Laurent":
         return cls({exp: coeff})
 

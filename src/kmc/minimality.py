@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import khovanov as kh
 from . import statesum
-from .atom import build_atom, genus as atom_genus
+from .atom import build_atom
 from .diagram import Diagram, crossing_signs, is_connected, orient, simplify
 from .errors import DiagramError, InvariantError, KmcError, TableError, UnsupportedFieldError
 from .laurent import LOOP, Laurent
@@ -201,9 +201,8 @@ def certify(
             " input into components and certify each"
         )
     atom = build_atom(d)
-    g = atom_genus(atom)
     if fields is None:
-        fields = [kh.GF2] + ([kh.Q] if g.orientable else [])
+        fields = [kh.GF2] + ([kh.Q] if atom.orientable else [])
     fields = list(dict.fromkeys(fields))
     if not fields:
         raise UnsupportedFieldError("no coefficient field requested")
@@ -218,8 +217,8 @@ def certify(
 
     steps = [
         f"n = {d.n} classical crossings",
-        f"atom: chi = {chi}, {'orientable' if g.orientable else 'non-orientable'},"
-        f" genus = {g}",
+        f"atom: chi = {chi}, {'orientable' if atom.orientable else 'non-orientable'},"
+        f" genus = {atom.genus}",
         f"bracket span = {span}, bound 4n + 2(chi - 2) = {bound}"
         f" -> strict 1-completeness {'holds' if strict else 'fails'}",
     ]
@@ -234,7 +233,7 @@ def certify(
     reports: dict[str, FieldReport] = {}
     for name in fields:
         rep, span_line, thickness_line = _report(
-            tables[name], d.n, chi, g.value, InvariantError
+            tables[name], d.n, chi, atom.genus, InvariantError
         )
         reports[name] = rep
         steps.append(f"kh[{name}]: thickness = {rep.thickness}, {span_line}")
@@ -243,9 +242,9 @@ def certify(
     return Certificate(
         n=d.n,
         chi=chi,
-        twice_genus=g.twice_genus,
+        twice_genus=atom.twice_genus,
         genus_is_lower_bound=False,
-        orientable=g.orientable,
+        orientable=atom.orientable,
         bracket_span=span,
         span_bound=bound,
         strict_1_complete=strict,

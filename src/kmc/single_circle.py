@@ -53,6 +53,10 @@ class SingleCircleCensus:
         return self.b_values[-1] - self.b_values[0]
 
     @property
+    def amplitude_bounded(self) -> bool:
+        return self.is_empty or self.amplitude <= 2 - self.chi
+
+    @property
     def parity_consistent(self) -> bool:
         return len({b % 2 for b in self.b_histogram}) <= 1
 

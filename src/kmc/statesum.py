@@ -156,7 +156,7 @@ def kauffman_bracket(d: Diagram, *, max_crossings: int | None = None) -> Laurent
     rows: dict[int, dict[int, int]] = {}
     for (r, circles), count in circle_counts(d).items():
         rows.setdefault(circles, {})[d.n - 2 * r] = count
-    total = Laurent.zero()
+    total = Laurent()
     for circles in range(max(rows), 0, -1):
         total = total * LOOP + Laurent(rows.get(circles))
     return total

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from conftest import FIXTURES, load
-from kmc.atom import build_atom, genus, orientable
+from kmc.atom import build_atom, orientable
 from kmc.diagram import (
     Diagram,
     components,
@@ -149,8 +149,7 @@ def test_criterion_5_thickness_bound():
         d = random_virtual_diagram(6, rng)
         tab = kh_table(d, GF2)
         if tab.entries:
-            g = genus(build_atom(d))
-            if tab.diagonal_spread() > g.twice_genus + 2:
+            if tab.diagonal_spread() > build_atom(d).twice_genus + 2:
                 ok = False
                 break
     if ok:
@@ -158,8 +157,7 @@ def test_criterion_5_thickness_bound():
             d = random_classical_diagram(6, rng)
             tab = kh_table(d, Q)
             if tab.entries:
-                g = genus(build_atom(d))
-                if tab.diagonal_spread() > g.twice_genus + 2:
+                if tab.diagonal_spread() > build_atom(d).twice_genus + 2:
                     ok = False
                     break
     crit.finish(ok)
@@ -174,7 +172,7 @@ def test_criterion_6_single_circle_window():
         census = single_circle_census(d)
         if census.is_empty:
             continue
-        good = census.within_window and census.amplitude <= 2 - census.chi
+        good = census.within_window and census.amplitude_bounded
         if good and orientable(build_atom(d)):
             # constant parity is promised for orientable atoms only
             good = census.parity_consistent
@@ -188,8 +186,7 @@ def test_criterion_7_virtual_trefoil_anchors():
     crit = Criterion(7, "virtual trefoil anchors", 10.0)
     d = parse_gauss("O1+ O2+ U1+ U2+")
     atom = build_atom(d)
-    g = genus(atom)
-    ok = atom.chi == 1 and not g.orientable and g.value == Fraction(1, 2)
+    ok = atom.chi == 1 and not atom.orientable and atom.genus == Fraction(1, 2)
     try:
         build_complex(d, Q)
         ok = False

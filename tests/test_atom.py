@@ -1,9 +1,12 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load
-from kmc.atom import GenusValue, build_atom, genus, orientable
+import kmc.atom
+from conftest import FIXTURES, load
+from kmc.atom import Atom, build_atom
+from kmc.cli import main
 from kmc.diagram import (
     Diagram,
     is_connected,
@@ -23,30 +26,47 @@ UNKNOT = Diagram(0, (), 1)
 def test_unknot_atom_is_sphere():
     a = build_atom(UNKNOT)
     assert (a.a, a.b, a.chi) == (1, 1, 2)
-    g = genus(a)
-    assert g.orientable and g.twice_genus == 0
-    assert str(g) == "0"
+    assert a.orientable and a.twice_genus == 0
+    assert str(a.genus) == "0"
 
 
 def test_trefoil_atom():
     a = build_atom(load("trefoil.pd"))
     assert a.a + a.b == 5
     assert a.chi == 2
-    assert orientable(a)
-    assert genus(a).twice_genus == 0
+    assert a.orientable
+    assert a.twice_genus == 0
 
 
 def test_virtual_trefoil_atom():
     a = build_atom(parse_gauss("O1+ O2+ U1+ U2+"))
     assert a.chi == 1  # projective plane
-    assert not orientable(a)
-    g = genus(a)
-    assert g.twice_genus == 1
-    assert str(g) == "1/2"
+    assert not a.orientable
+    assert a.twice_genus == 1
+    assert str(a.genus) == "1/2"
 
 
 def test_genus_strings():
-    assert [str(GenusValue(twice, True)) for twice in (0, 1, 3, 4)] == ["0", "1/2", "3/2", "2"]
+    genera = [str(Atom(0, 0, 0, twice, True).genus) for twice in (0, 1, 3, 4)]
+    assert genera == ["0", "1/2", "3/2", "2"]
+
+
+def test_component_chi_above_two_is_caught(monkeypatch, capsys):
+    """A component whose cells outnumber a sphere's is an internal error:
+    reporting one white cell of the trefoil twice gives it chi 3."""
+    real = kmc.atom.port_cycles
+
+    def doubled(d, turn):
+        cycles = real(d, turn)
+        return cycles + cycles[:1] if turn == 1 else cycles
+
+    monkeypatch.setattr(kmc.atom, "port_cycles", doubled)
+    with pytest.raises(AssertionError, match="component chi 3 exceeds 2"):
+        build_atom(load("trefoil.pd"))
+    assert main(["atom", str(FIXTURES / "trefoil.pd")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "kmc: component chi 3 exceeds 2\n"
 
 
 def test_clasped_unlink_atom_is_torus():
@@ -55,8 +75,8 @@ def test_clasped_unlink_atom_is_torus():
     d = r2_add(Diagram(0, (), 2), 0, 1)
     a = build_atom(d)
     assert (a.a, a.b, a.chi) == (1, 1, 0)
-    assert orientable(a)
-    assert genus(a).twice_genus == 2
+    assert a.orientable
+    assert a.twice_genus == 2
 
 
 # Reference: the atom by directed cell walks and a parity union-find
@@ -87,8 +107,10 @@ def _reference_walks(d: Diagram, step: int) -> list[list[tuple[int, bool]]]:
 
 
 def reference_atom(d: Diagram):
-    """(a, b, component_chis, component_orientable, comp), with comp the
-    component of every crossing, numbered in order of least crossing."""
+    """(a, b, chis, orientable_, comp): the chi and the orientability of
+    each component (crossing components first, in order of least
+    crossing, then one sphere per free loop), and comp the component of
+    every crossing."""
     white = _reference_walks(d, 1)
     black = _reference_walks(d, 3)
     cell_of_arc = ({}, {})
@@ -159,11 +181,11 @@ def reference_split(d: Diagram, comp: list[int]) -> list[Diagram]:
 def assert_matches_reference(d: Diagram) -> None:
     a, b, chis, orientable_, comp = reference_atom(d)
     atom = build_atom(d)
-    assert (atom.a, atom.b, atom.component_chis, atom.component_orientable) == (
+    assert (atom.a, atom.b, atom.twice_genus, atom.orientable) == (
         a,
         b,
-        chis,
-        orientable_,
+        sum(2 - chi for chi in chis),
+        all(orientable_),
     )
     assert atom.chi == a + b - d.n
     assert is_connected(d) == (len(chis) == 1)
@@ -240,20 +262,19 @@ def test_chi_at_most_two_per_component():
     for _ in range(60):
         d = random_virtual_diagram(8, rng)
         a = build_atom(d)
-        assert all(chi <= 2 for chi in a.component_chis)
-        g = genus(a)
-        assert g.twice_genus >= 0
-        if g.orientable:
-            assert g.twice_genus % 2 == 0
+        assert all(chi <= 2 for chi in reference_atom(d)[2])
+        assert a.twice_genus >= 0
+        if a.orientable:
+            assert a.twice_genus % 2 == 0
 
 
 def test_classical_diagrams_orientable():
     rng = random.Random(33)
     for _ in range(60):
         d = random_classical_diagram(7, rng)
-        g = genus(build_atom(d))
-        assert g.orientable
-        assert g.twice_genus % 2 == 0
+        a = build_atom(d)
+        assert a.orientable
+        assert a.twice_genus % 2 == 0
 
 
 def test_atom_blind_to_virtualization():
@@ -265,20 +286,23 @@ def test_atom_blind_to_virtualization():
         dv = virtualize(d, rng.randrange(d.n))
         a, av = build_atom(d), build_atom(dv)
         assert (a.a, a.b, a.chi) == (av.a, av.b, av.chi)
-        assert orientable(a) == orientable(av)
-        assert genus(a) == genus(av)
+        assert a.orientable == av.orientable
+        assert a.genus == av.genus
 
 
 def test_disconnected_genus_sums():
     two = Diagram(0, (), 2)
     a = build_atom(two)
     assert a.chi == 4  # two spheres
-    assert genus(a).twice_genus == 0
-    assert a.component_chis == (2, 2)
+    assert a.twice_genus == 0
+    # the virtual trefoil (a projective plane) and a sphere
+    a = build_atom(parse_gauss("O1+ O2+ U1+ U2+ ; loop"))
+    assert (a.a, a.b, a.chi) == (2, 3, 3)
+    assert (a.twice_genus, a.orientable) == (1, False)
 
 
 def test_fold_clasp_unknot_atom_is_sphere():
     d = r2_add(UNKNOT, 0, 0)
     a = build_atom(d)
     assert (a.a, a.b, a.chi) == (2, 2, 2)
-    assert orientable(a)
+    assert a.orientable

@@ -4,16 +4,16 @@ from kmc.laurent import LOOP, Laurent
 
 
 def test_zero_and_one():
-    assert not Laurent.zero()
+    assert not Laurent()
     assert Laurent({0: 1}) == Laurent({0: 1, 2: 0})
-    assert Laurent.zero() + Laurent({0: 1}) == Laurent({0: 1})
+    assert Laurent() + Laurent({0: 1}) == Laurent({0: 1})
     assert Laurent({0: 1}) != 1  # no Laurent equals an int
 
 
 def test_no_zero_coefficients_stored():
     p = Laurent({3: 1}) + Laurent({3: -1})
     assert p.coeffs == {}
-    assert p == Laurent.zero()
+    assert p == Laurent()
 
 
 def test_arithmetic():
@@ -30,7 +30,7 @@ def test_span():
     assert Laurent({7: 1, 3: -1, -5: -1}).span() == 12
     assert Laurent({0: 5}).span() == 0
     with pytest.raises(ValueError):
-        Laurent.zero().span()
+        Laurent().span()
 
 
 def test_substitute_signed_power():
@@ -42,6 +42,6 @@ def test_substitute_signed_power():
 
 
 def test_format():
-    assert str(Laurent.zero()) == "0"
+    assert str(Laurent()) == "0"
     assert str(Laurent({3: -1, 0: 2})) == "-1*A^3 + 2"
     assert Laurent({1: 1}).format("q") == "1*q^1"

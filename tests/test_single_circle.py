@@ -81,7 +81,7 @@ def test_window_and_parity_random():
         if census.is_empty:
             continue
         assert census.within_window
-        assert census.amplitude <= 2 - census.chi
+        assert census.amplitude_bounded
         if orientable(build_atom(d)):
             assert census.parity_consistent
 
