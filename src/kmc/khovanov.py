@@ -20,12 +20,36 @@ The complex is built once, for the field asked for: the census
 (``statesum.circle_counts``) sizes every block, then one sweep of the
 cube walks each state's circles and lays its columns into place; the
 walks must fill the blocks exactly (the census check).  Every column
-entry is +-1 (unsigned over GF(2)) and every entry of a column has its
-own target, so the GF(2) complex is the rational one reduced mod 2, and
-one complex built over Q serves both tables.  The basis is not stored:
-a block has one column per basis element, so its length is the chain
-dimension, and an element's position in its block is arithmetic on its
-state and mask.
+entry of the complex over Q is +-1 and every entry of a column has its
+own target, so reduced mod 2 it is the unreduced GF(2) complex, and one
+complex built over Q serves both tables.  A complex built over GF(2)
+alone is reduced: it holds only the generators whose marked circle
+carries v-, half of them, and its table is read as two copies (below).
+The basis is not stored: a block has one column per basis element, so
+its length is the chain dimension, and an element's position in its
+block is arithmetic on its state and mask.
+
+Reduction over GF(2).  Circles are numbered by least port, so the
+circle through port 0 is circle 0 in every state (with n = 0, the first
+free loop): it is the marked circle, and "marked circle carries v-"
+means mask bit 0 is clear.  Let C be the unreduced complex over GF(2),
+its edge maps m, Delta or the zero single-cycle map.
+- X, multiplication by x on the marked circle (v+ -> v-, v- -> 0), is a
+  chain map: m and Delta are A-linear on the circle through port 0, and
+  the zero map commutes with anything.  Its image XC is spanned by the
+  even masks, so an even mask's image under d is even.
+- nu = sum_i nu_i, with nu_i (v- -> v+, v+ -> 0) on circle i, commutes
+  with d mod 2: check the four merge cases (++, +-, -+, --) and the two
+  split cases (+, -).
+- X nu + nu X = id: on the marked factor this is a direct check; on any
+  other factor the two terms are equal and cancel mod 2.
+- So rho = X nu is a chain retraction of C onto XC, and XC is a direct
+  summand with complement C/XC; X maps C/XC isomorphically onto XC
+  shifted down by 2 in q.
+Hence Kh(t, q) = Hr(t, q) + Hr(t, q - 2), with Hr the homology of XC in
+C's gradings.  Links, free loops and non-orientable atoms need nothing
+extra.  Over Q, Kh does not split as Khr tensor A in general, so the
+complex over Q stays unreduced.
 
 Edges are laid down by mask programs, by this lemma.  Circles are
 numbered by least port, free loops last.  The edge at crossing c
@@ -104,14 +128,17 @@ class KhComplex:
 
     The basis of C at (t, q), its (state, label mask) pairs by state and
     then by mask (bit i set: circle i carries v+), is not stored; block
-    (t, q) has one column per element, so its length is dim C(t, q)."""
+    (t, q) has one column per element, so its length is dim C(t, q).  A
+    complex over GF(2) is reduced: its masks are the even ones, whose
+    marked circle 0 carries v- (see the module docstring)."""
 
     field: str
     # (t, q) -> one column per basis element, mapping into (t+1, q); in
     # increasing (t, q) order
     blocks: dict[tuple[int, int], list[Column]]
     # (t, q) -> GF(2) rank of the block leaving (t, q) reduced mod 2,
-    # for every block; filled by ``build_complex``
+    # for every block (of the reduced complex over GF(2)); filled by
+    # ``build_complex``
     gf2_ranks: dict[tuple[int, int], int] = field(default_factory=dict)
 
     # kept for the benchmark: perfbench's spans._complex_attrs calls it
@@ -260,7 +287,8 @@ def build_complex(
     which implies it mod 2; over GF(2), by XOR.  A failed check, or a
     single-cycle edge over Q, raises an AssertionError.  The GF(2) ranks
     are kept in gf2_ranks, so a complex over Q carries both tables (see
-    ``homology``).
+    ``homology``).  A complex over GF(2) is reduced (see the module
+    docstring): its blocks hold only the even masks.
     """
     check_field(d, field, max_crossings=max_crossings)
     complex_ = _skeleton(d, *crossing_signs(d, orient(d)), field)
@@ -275,9 +303,11 @@ def _skeleton(d: Diagram, n_plus: int, n_minus: int, field: str) -> KhComplex:
     The census (``circle_counts``) sizes every block first: a state with
     r B-smoothings and k circles, free loops included, has its masks of
     popcount j, in increasing order, in block (t, q) = (r - n_minus,
-    r + n_plus - 2 n_minus - k + 2j).  A mask's place among them is its
-    position in one permutation per circle count; columns and entry
-    tables are indexed by position.  The sweep walks the states from
+    r + n_plus - 2 n_minus - k + 2j): C(k, j) of them over Q, and over
+    GF(2), where only the even masks are laid down (the reduction in the
+    module docstring), C(k - 1, j).  A mask's place among them is its
+    position in one ranking per circle count; columns and entry tables
+    are indexed by position.  The sweep walks the states from
     2^n - 1 down, so an edge's target s + 2^c is walked before its
     source, and takes each state's runs at offsets counted down from its
     blocks' sizes: states sit in increasing order within every block.  A
@@ -295,18 +325,23 @@ def _skeleton(d: Diagram, n_plus: int, n_minus: int, field: str) -> KhComplex:
     # per crossing c: its bit, and the arcs at ports 4c, 4c + 1 and 4c + 2
     ports = [(1 << c, arc_of[4 * c], arc_of[4 * c + 1], arc_of[4 * c + 2]) for c in range(n)]
     census = circle_counts(d)
+    reduced = field == GF2
     ints = list(range(1 << max(k for _, k in census)))  # one int object per position
-    pos = {}  # k -> position of each mask
+    laid = {}  # k -> the masks laid down: all, or over GF(2) the even ones (circle 0 carries v-)
+    pos = {}  # k -> position of each mask laid down
     for k in {k for _, k in census}:
+        laid[k] = range(0, 1 << k, 1 + reduced)
         pos[k] = [0] * (1 << k)
-        for p, m in zip(ints, sorted(range(1 << k), key=lambda m: (m.bit_count(), m))):
+        for p, m in zip(ints, sorted(laid[k], key=lambda m: (m.bit_count(), m))):
             pos[k][m] = p
     sizes: dict[tuple[int, int], int] = {}  # (t, q) -> dim C(t, q)
-    spans = {}  # (r, k) -> per popcount: its block's key and its slice of the positions
+    # (r, k) -> per popcount: its block's key and its slice of the positions;
+    # an empty slice (popcount k over GF(2): the all-v+ mask is odd) is left out
+    spans = {}
     for (r, k), count in census.items():
-        ends = list(accumulate((comb(k, j) for j in range(k + 1)), initial=0))
+        ends = list(accumulate((comb(k - reduced, j) for j in range(k + 1)), initial=0))
         spans[r, k] = [((r - n_minus, r + n_plus - 2 * n_minus - k + 2 * j), a, b)
-                       for j, (a, b) in enumerate(zip(ends, ends[1:]))]
+                       for j, (a, b) in enumerate(zip(ends, ends[1:])) if a < b]
         for key, a, b in spans[r, k]:
             sizes[key] = sizes.get(key, 0) + count * (b - a)
     blocks: dict[tuple[int, int], list[Column]] = {key: [None] * sizes[key] for key in sorted(sizes)}
@@ -331,7 +366,7 @@ def _skeleton(d: Diagram, n_plus: int, n_minus: int, field: str) -> KhComplex:
         placed = runs.get((s.bit_count(), k))
         if placed is None:
             raise AssertionError(f"census check: no (r, k) = ({s.bit_count()}, {k}) in the census")
-        cols: list[Column] = [[] for _ in range(1 << k)]
+        cols: list[Column] = [[] for _ in laid[k]]
         own, own_neg = [], []
         for key, left, block, size, a, b in placed:
             o = left[0] - size
@@ -357,7 +392,7 @@ def _skeleton(d: Diagram, n_plus: int, n_minus: int, field: str) -> KhComplex:
                     # impossible for orientable atoms; a trip here means
                     # the orientability test and the cube disagree
                     raise AssertionError("single-cycle event in a rational complex")
-                program = programs[key] = _edge_program(*key, pos[k], pos[k_of[tgt]])
+                program = programs[key] = _edge_program(*key, laid[k], pos[k], pos[k_of[tgt]])
             src, dst = program
             to = signed[odd][tgt]
             for m, t in zip(src, dst):
@@ -369,11 +404,14 @@ def _skeleton(d: Diagram, n_plus: int, n_minus: int, field: str) -> KhComplex:
 
 
 def _edge_program(
-    k: int, x: int, y: int, z1: int, z2: int, src_pos: list[int], tgt_pos: list[int]
+    k: int, x: int, y: int, z1: int, z2: int,
+    masks: range, src_pos: list[int], tgt_pos: list[int],
 ) -> tuple[list[int], list[int]]:
     """The mask program of every edge with key (k, x, y, z1, z2): two
     parallel lists, the source position and the target position of each
     entry, in source-mask order (a split's two entries low bit first).
+    The source masks are those laid down: all of them, or the even ones
+    of a reduced complex, whose images are even.
 
     The source has k circles; the edge's crossing c has ports 4c, 4c+1
     on circle x and 4c+2, 4c+3 on circle y, and in the target ports 4c
@@ -384,7 +422,7 @@ def _edge_program(
     docstring the untouched circles of source and target, each in
     increasing order, correspond in that order, so the key fixes the
     whole map.  src_pos and tgt_pos are the per-circle-count position
-    permutations of the two states."""
+    rankings of the two states."""
     if x == y and z1 == z2:
         return [], []
     gone, new = {x, y}, {z1, z2}
@@ -397,7 +435,8 @@ def _edge_program(
     src, tgt = [], []
     if x != y:  # merge: ++ -> +, +- and -+ -> -, -- -> 0
         zb = 1 << z1
-        for m, v in enumerate(image):
+        for m in masks:
+            v = image[m]
             if m & xb:
                 src.append(src_pos[m])
                 tgt.append(tgt_pos[v | zb if m & yb else v])
@@ -406,7 +445,8 @@ def _edge_program(
                 tgt.append(tgt_pos[v])
     else:  # split: + -> +- and -+, - -> --
         lo, hi = sorted((1 << z1, 1 << z2))
-        for m, v in enumerate(image):
+        for m in masks:
+            v = image[m]
             if m & xb:
                 src += (src_pos[m], src_pos[m])
                 tgt += (tgt_pos[v | lo], tgt_pos[v | hi])
@@ -456,8 +496,10 @@ def homology(c: KhComplex, field: str | None = None) -> KhTable:
     rank-nullity on the graded blocks.
 
     GF(2) ranks come from any complex: ``build_complex`` keeps them in
-    c.gf2_ranks.  Q ranks need a complex built over Q.  There only a
-    block with nonzero GF(2) homology at both ends is eliminated; the
+    c.gf2_ranks.  On a complex over GF(2), which is reduced, they give
+    Hr, and the table is Hr(t, q) + Hr(t, q - 2) (the reduction in the
+    module docstring).  Q ranks need a complex built over Q.  There only
+    a block with nonzero GF(2) homology at both ends is eliminated; the
     rest take their GF(2) rank, by the lemma in the module docstring.
     An eliminated rank below its GF(2) rank raises an AssertionError.
     """
@@ -472,7 +514,11 @@ def homology(c: KhComplex, field: str | None = None) -> KhTable:
                 ranks[t, q] = sparse_integer_rank(c.blocks[t, q])
                 if ranks[t, q] < rank:
                     raise AssertionError(f"Q rank below GF(2) rank at (t={t}, q={q})")
-    return KhTable(field, _dimensions(c, ranks))
+    dims = _dimensions(c, ranks)
+    if c.field == GF2:  # two copies of the reduced table, the second 2 up in q
+        up = {(t, q + 2): dim for (t, q), dim in dims.items()}
+        dims = {key: dims.get(key, 0) + up.get(key, 0) for key in sorted(dims.keys() | up.keys())}
+    return KhTable(field, dims)
 
 
 def _dimensions(c: KhComplex, ranks: dict) -> dict[tuple[int, int], int]:

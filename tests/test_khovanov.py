@@ -1,6 +1,8 @@
 import copy
+import inspect
 import json
 import random
+import types
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -11,7 +13,16 @@ from hypothesis import assume, given, settings, strategies as st
 import kmc.khovanov as kh
 from conftest import FIXTURES, load
 from kmc.atom import build_atom, orientable
-from kmc.diagram import Diagram, crossing_signs, mirror, orient, parse_gauss, r1_add, virtualize
+from kmc.diagram import (
+    Diagram,
+    crossing_signs,
+    mirror,
+    orient,
+    parse_gauss,
+    r1_add,
+    simplify,
+    virtualize,
+)
 from kmc.errors import InvariantError, LimitError, TableError, UnsupportedFieldError
 from kmc.generate import random_classical_diagram, random_virtual_diagram
 from kmc.khovanov import (
@@ -301,23 +312,45 @@ DIAGRAMS = st.builds(
 )
 
 
+def basis(d, field):
+    """(t, q) -> the (state, mask) of each column of the complex over
+    field, in block order: by state, then by popcount and mask; over
+    GF(2) only the even masks, whose marked circle 0 carries v-."""
+    n_plus, n_minus = crossing_signs(d, orient(d))
+    blocks = {}
+    for s in range(1 << d.n):
+        r, k = s.bit_count(), circles_of_state(d, s)
+        masks = range(0, 1 << k, 2 if field == GF2 else 1)
+        for m in sorted(masks, key=lambda m: (m.bit_count(), m)):
+            key = (r - n_minus, r + n_plus - 2 * n_minus - k + 2 * m.bit_count())
+            blocks.setdefault(key, []).append((s, m))
+    return dict(sorted(blocks.items()))
+
+
 @settings(max_examples=40, deadline=None)
 @given(DIAGRAMS)
 def test_chain_dimensions_are_binomial_sums(d):
+    """C(k, j) masks of popcount j per state with k circles over Q, and
+    C(k - 1, j) over GF(2), where the marked circle carries v-."""
     n_plus, n_minus = crossing_signs(d, orient(d))
-    expected = {}
-    for s in range(1 << d.n):
-        r, k = s.bit_count(), circles_of_state(d, s)
-        for j in range(k + 1):
-            key = (r - n_minus, r + n_plus - 2 * n_minus - k + 2 * j)
-            expected[key] = expected.get(key, 0) + comb(k, j)
-    c = build_complex(d, GF2)
-    assert {key: len(cols) for key, cols in c.blocks.items()} == expected
-    assert c.total_dimension() == sum(expected.values())
-    # each column lists distinct targets in increasing order
-    assert all(
-        [i for i, _ in col] == sorted({i for i, _ in col}) for cols in c.blocks.values() for col in cols
-    )
+    fields = [GF2] + ([Q] if orientable(build_atom(d)) else [])
+    for field in fields:
+        expected = {}
+        for s in range(1 << d.n):
+            r, k = s.bit_count(), circles_of_state(d, s)
+            for j in range(k + 1):
+                key = (r - n_minus, r + n_plus - 2 * n_minus - k + 2 * j)
+                size = comb(k - 1, j) if field == GF2 else comb(k, j)
+                if size:
+                    expected[key] = expected.get(key, 0) + size
+        c = build_complex(d, field)
+        assert {key: len(cols) for key, cols in c.blocks.items()} == expected
+        assert {key: len(b) for key, b in basis(d, field).items()} == expected
+        assert c.total_dimension() == sum(expected.values())
+        # each column lists distinct targets in increasing order
+        assert all(
+            [i for i, _ in col] == sorted({i for i, _ in col}) for cols in c.blocks.values() for col in cols
+        )
 
 
 def _entry_with_a_composite(c):
@@ -335,18 +368,20 @@ def _entry_with_a_composite(c):
 @settings(max_examples=30, deadline=None)
 @given(DIAGRAMS)
 def test_d_squared_checks_catch_a_changed_entry(d):
+    # the reduced complex over GF(2), and the one over Q where it exists;
+    # the Q complex holds the reduced one, so it has such an entry too
     gf2 = build_complex(d, GF2)
-    spot = _entry_with_a_composite(gf2)
-    assume(spot is not None)
-    key, j, e = spot
+    assume(_entry_with_a_composite(gf2) is not None)
     fields = [gf2] + ([build_complex(d, Q)] if orientable(build_atom(d)) else [])
     for c in fields:
+        key, j, e = _entry_with_a_composite(c)
         dropped = copy.deepcopy(c)
         del dropped.blocks[key][j][e]
         with pytest.raises(AssertionError, match="square to zero"):
             _gf2_pass(dropped)
     if len(fields) == 2:  # signs exist over Q only; mod 2 a flip is no change
         flipped = copy.deepcopy(fields[1])
+        key, j, e = _entry_with_a_composite(flipped)
         i, v = flipped.blocks[key][j][e]
         flipped.blocks[key][j][e] = (i, -v)
         with pytest.raises(AssertionError, match="square to zero"):
@@ -356,12 +391,21 @@ def test_d_squared_checks_catch_a_changed_entry(d):
 @settings(max_examples=30, deadline=None)
 @given(DIAGRAMS)
 def test_q_complex_is_the_signed_gf2_complex(d):
+    """The Q complex's columns at the generators whose marked circle
+    carries v-, read mod 2, are the reduced GF(2) complex: their targets
+    carry v- on the marked circle too."""
     assume(orientable(build_atom(d)))
     gf2, rat = build_complex(d, GF2), build_complex(d, Q)
-    assert rat.blocks.keys() == gf2.blocks.keys()
-    for key, cols in gf2.blocks.items():
-        assert [[(i, abs(v)) for i, v in col] for col in rat.blocks[key]] == cols
-        assert all(v in (1, -1) for col in rat.blocks[key] for _, v in col)
+    assert all(v in (1, -1) for cols in rat.blocks.values() for col in cols for _, v in col)
+    full, reduced = basis(d, Q), basis(d, GF2)
+    place = {}  # (t, q) -> the reduced position of each Q position, None at odd masks
+    for key, gens in full.items():
+        index = {g: p for p, g in enumerate(reduced.get(key, ()))}
+        place[key] = [index.get(g) for g in gens]
+    assert gf2.blocks.keys() == reduced.keys() <= rat.blocks.keys()
+    for (t, q), cols in gf2.blocks.items():
+        marked = [col for col, p in zip(rat.blocks[t, q], place[t, q]) if p is not None]
+        assert [[(place[t + 1, q][i], abs(v)) for i, v in col] for col in marked] == cols
 
 
 # rational ranks pinned by GF(2) ranks
@@ -410,10 +454,16 @@ def test_eliminated_rank_below_gf2_rank_is_an_error(monkeypatch):
 
 
 def test_certify_ranks_each_gf2_block_once(monkeypatch):
-    """One gf2_rank call per nonempty block, all inside build_complex and
-    none in homology, whichever fields are asked for."""
+    """One gf2_rank call per nonempty block of the complex each run
+    builds, over Q when the rationals are asked for and reduced over
+    GF(2) otherwise, all inside build_complex and none in homology."""
     d = load("6_2.pd")
-    nonempty = sum(1 for cols in build_complex(d, GF2).blocks.values() if cols)
+    assert simplify(d) == d
+    nonempty = {
+        field: sum(1 for cols in build_complex(d, field).blocks.values() if cols)
+        for field in (GF2, Q)
+    }
+    assert nonempty[GF2] < nonempty[Q]
     inside, ranked = [], []
 
     def within(name):
@@ -432,12 +482,12 @@ def test_certify_ranks_each_gf2_block_once(monkeypatch):
     within("homology")
     real_rank = kh.gf2_rank
     monkeypatch.setattr(kh, "gf2_rank", lambda rows: ranked.append(inside[-1]) or real_rank(rows))
-    runs = [lambda: certify(d), lambda: certify(d, [GF2]), lambda: certify(d, [Q])]
-    runs += [lambda: kh_table(d, GF2), lambda: kh_table(d, Q)]
-    for run in runs:
+    runs = [(Q, lambda: certify(d)), (GF2, lambda: certify(d, [GF2])), (Q, lambda: certify(d, [Q]))]
+    runs += [(GF2, lambda: kh_table(d, GF2)), (Q, lambda: kh_table(d, Q))]
+    for field, run in runs:
         ranked.clear()
         run()
-        assert ranked == ["build_complex"] * nonempty
+        assert ranked == ["build_complex"] * nonempty[field]
 
 
 @pytest.mark.parametrize("name", ["trefoil.pd", "figure8.pd", "6_2.pd", "virtual_trefoil.gauss"])
@@ -539,12 +589,16 @@ def test_q_table_needs_a_complex_over_q():
 # the skeleton's edge programs against a per-edge reference builder
 
 
-def reference_skeleton(d, field):
+def reference_skeleton(d, field, reduced=None):
     """The complex built edge by edge: each edge tabulates the image of
     the untouched circles' labels for every mask of its source, by
     renumbering through the target's labels, and branches per mask.
-    Blocks are keyed in sorted (t, q) order.  ``_skeleton`` must give the
-    same blocks, column for column."""
+    Reduced (by default over GF(2)), it keeps only the columns of the
+    even masks, whose marked circle 0 carries v-; their targets must be
+    even masks too, or an entry (None, 1) shows.  Blocks are keyed in
+    sorted (t, q) order.  ``_skeleton`` must give the same blocks, column
+    for column."""
+    kept = 2 if (field == GF2 if reduced is None else reduced) else 1
     n_plus, n_minus = crossing_signs(d, orient(d))
     n, loops = d.n, d.free_loops
     arc_of = d.arc_index
@@ -554,7 +608,7 @@ def reference_skeleton(d, field):
     width = max(k_of)
     popcount = [m.bit_count() for m in range(1 << width)]
     by_popcount = {
-        k: [[m for m in range(1 << k) if popcount[m] == j] for j in range(k + 1)]
+        k: [[m for m in range(0, 1 << k, kept) if popcount[m] == j] for j in range(k + 1)]
         for k in set(k_of)
     }
     rank_in_popcount = [0] * (1 << width)
@@ -571,10 +625,11 @@ def reference_skeleton(d, field):
         off = []
         for key, masks in zip(keys[s], by_popcount[k]):
             off.append(sizes[key])
-            sizes[key] += len(masks)
+            if masks:
+                sizes[key] += len(masks)
         offsets.append(off)
     where = [
-        [off[popcount[m]] + rank_in_popcount[m] for m in range(1 << k)]
+        [off[popcount[m]] + rank_in_popcount[m] if m % kept == 0 else None for m in range(1 << k)]
         for off, k in zip(offsets, k_of)
     ]
 
@@ -621,13 +676,15 @@ def reference_skeleton(d, field):
                     else:
                         col.append(to[image[m]])
         for key, masks in zip(keys[s], by_popcount[k]):
-            blocks[key].extend(cols[m] for m in masks)
+            if masks:
+                blocks[key].extend(cols[m] for m in masks)
     return kh.KhComplex(field, blocks)
 
 
 def assert_matches_reference(d, fields=(GF2, Q)):
-    """``_skeleton`` equals the reference over each field given, Q only
-    where the atom is orientable; block order included."""
+    """``_skeleton`` equals the reference over each field given, reduced
+    over GF(2) and Q only where the atom is orientable; block order
+    included."""
     for field in fields:
         if field == Q and not orientable(build_atom(d)):
             continue
@@ -676,3 +733,71 @@ def test_edge_programs_match_the_reference_at_twelve_crossings():
     d = random_virtual_diagram(12, random.Random(86))
     assert d.n == 12 and not orientable(build_atom(d))
     assert_matches_reference(d, (GF2,))
+
+
+# the reduced GF(2) complex against the full one
+
+
+def full_gf2_table(d):
+    """The GF(2) table of the unreduced reference complex, every mask
+    laid down, checked and ranked by ``_gf2_pass``: the table the
+    reduced complex must give as two shifted copies."""
+    c = reference_skeleton(d, GF2, reduced=False)
+    return kh._dimensions(c, _gf2_pass(c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(DIAGRAMS, st.integers(0, 1))
+def test_reduced_gf2_table_equals_the_full_one(d, loops):
+    d = Diagram(d.n, d.arcs, d.free_loops + loops)
+    assert kh.homology(build_complex(d, GF2)).entries == full_gf2_table(d)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.iterdir() if p.suffix in (".pd", ".gauss")))
+def test_reduced_gf2_table_equals_the_full_one_on_every_fixture(name):
+    d = load(name)
+    assert kh.homology(build_complex(d, GF2)).entries == full_gf2_table(d)
+
+
+def _route_certify_through_a_mutant(monkeypatch, old, new):
+    """Load the source of ``kmc.khovanov`` with its one occurrence of old
+    replaced by new, and make ``certify`` build with it."""
+    import kmc.minimality
+
+    source = inspect.getsource(kh)
+    assert source.count(old) == 1
+    mutant = types.ModuleType(kh.__name__)
+    mutant.__package__ = "kmc"
+    exec(compile(source.replace(old, new), kh.__file__, "exec"), mutant.__dict__)
+    monkeypatch.setattr(kmc.minimality, "kh", mutant)
+
+
+# a reduced table read with the wrong shift, and the wrong circle label
+# marked; the inputs are those where the checks were seen to catch each
+MUTANTS = [
+    ("shift", "(t, q + 2): dim", "(t, q + 4): dim", ["trefoil.pd", "6_2.pd", "virtual_trefoil.gauss"]),
+    (
+        "mark",
+        "laid[k] = range(0, 1 << k, 1 + reduced)",
+        "laid[k] = range(reduced, 1 << k, 1 + reduced)",
+        ["trefoil.pd", "6_2.pd"],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "old, new, name",
+    [(old, new, name) for _, old, new, names in MUTANTS for name in names],
+    ids=[f"{kind}-{name}" for kind, _, _, names in MUTANTS for name in names],
+)
+def test_a_wrong_reduction_raises_and_prints_no_verdict(monkeypatch, capsys, old, new, name):
+    from kmc.cli import main
+
+    certify(load(name), [GF2])  # the real module certifies it
+    _route_certify_through_a_mutant(monkeypatch, old, new)
+    with pytest.raises((AssertionError, InvariantError), match="Euler characteristic|square to zero"):
+        certify(load(name), [GF2])
+    code = main(["certify", str(FIXTURES / name), "--fields", "gf2"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("kmc: ") and err.count("\n") == 1
