@@ -22,8 +22,9 @@ cube walks each state's circles and lays its columns into place; the
 walks must fill the blocks exactly (the census check).  Every column
 entry of the complex over Q is +-1 and every entry of a column has its
 own target, so reduced mod 2 it is the unreduced GF(2) complex, and one
-complex built over Q serves both tables.  A complex built over GF(2)
-alone is reduced: it holds only the generators whose marked circle
+complex built over Q serves both tables; its signs are read only around
+the blocks that the rationals eliminate (below).  A complex built over
+GF(2) alone is reduced: it holds only the generators whose marked circle
 carries v-, half of them, and its table is read as two copies (below).
 The basis is not stored: a block has one column per basis element, so
 its length is the chain dimension, and an element's position in its
@@ -64,19 +65,29 @@ n = 8 to 12, 1,024 to 24,576 edges share 65 to 417 keys.
 
 Homology is computed per (t, q) block by exact rank computations: GF(2)
 rows as bitsets, rational blocks by integer elimination (see ``linalg``)
-only where GF(2) ranks do not pin them.  With r_F(t) the rank over F of
-the block d_t: C_t -> C_{t+1}, an odd minor is nonzero, so r_Q(t) >=
-r_2(t), and im lies in ker over Q, so r_Q(t-1) + r_Q(t) <= dim C_t.
-Where GF(2) homology vanishes at C_t, dim C_t = r_2(t-1) + r_2(t), hence
-r_Q = r_2 on both blocks at C_t: no 2-torsion lives there (Shumakovitch,
-arXiv:math/0405474).  This needs d.d = 0 over Q, for im in ker, and
-over GF(2), for the GF(2) table to be homology.  One pass over the
-blocks checks it and takes the GF(2) ranks: each block's columns become
-bitsets once, check the block before, and are ranked.  On a complex over
-Q the check sums exactly over the integers, which gives both fields:
-the GF(2) blocks are the Q blocks reduced mod 2, entry for entry, so
-d.d = 0 over Z reduces to d.d = 0 mod 2.  On a complex over GF(2) it
-XORs the bitsets.
+only where GF(2) ranks do not pin them.  Let K be Khovanov's signed
+complex over Q, and r_F(t) the rank over F of its block d_t: C_t ->
+C_{t+1}.  An odd minor is nonzero, so r_Q(t) >= r_2(t); d.d = 0 on K
+(Khovanov's theorem, arXiv:math/9908171) puts im in ker, so r_Q(t-1) +
+r_Q(t) <= dim C_t.  Where GF(2) homology vanishes at C_t, dim C_t =
+r_2(t-1) + r_2(t), hence r_Q = r_2 on both blocks at C_t: no 2-torsion
+lives there (Shumakovitch, arXiv:math/0405474).  Such a pinned block
+needs no signs: the lemma reads K only through its reduction mod 2, so
+it needs just that our blocks are K mod 2, with d.d = 0 mod 2 for the
+GF(2) table to be homology.  Which check covers which block:
+- Every block, mod 2, over either field: one pass over the blocks
+  (``_gf2_pass``) turns each block's columns into bitsets once, checks
+  by XOR that the columns of the block before map to zero through it,
+  and ranks it.  A complex over Q enters it with its +-1 entries read
+  as 1, which is the unreduced GF(2) complex.  With the census check
+  and the Euler check this tests that our blocks are K mod 2, all that
+  a pinned block needs.
+- An eliminated block d_t, over Z: its rank is read from the signs laid
+  down, so before any elimination ``homology`` sums exactly over the
+  integers along every path of length two in the pairs t-1 -> t and
+  t -> t+1, each pair once.  These are the composites at C_t and
+  C_{t+1}, the two places where r_Q(t) enters the table.  No other
+  block's signs reach a result.
 """
 
 from __future__ import annotations
@@ -280,14 +291,15 @@ def build_complex(
     d: Diagram, field: str = GF2, *, max_crossings: int | None = None
 ) -> KhComplex:
     """Build the cube complex of d over GF(2) or Q, then check d.d = 0
-    and rank every block over GF(2) in one pass (``_gf2_pass``).
+    mod 2 and rank every block over GF(2) in one pass (``_gf2_pass``).
 
     Rational coefficients require an orientable atom (``check_field``
-    reads it from d).  Over Q, d.d = 0 is checked by exact integer sums,
-    which implies it mod 2; over GF(2), by XOR.  A failed check, or a
-    single-cycle edge over Q, raises an AssertionError.  The GF(2) ranks
-    are kept in gf2_ranks, so a complex over Q carries both tables (see
-    ``homology``).  A complex over GF(2) is reduced (see the module
+    reads it from d).  The pass reads a complex over Q with its +-1
+    entries as 1; its signs are checked over Z by ``homology``, and only
+    around the blocks that the rationals eliminate.  A failed check, or
+    a single-cycle edge over Q, raises an AssertionError.  The GF(2)
+    ranks are kept in gf2_ranks, so a complex over Q carries both tables
+    (see ``homology``).  A complex over GF(2) is reduced (see the module
     docstring): its blocks hold only the even masks.
     """
     check_field(d, field, max_crossings=max_crossings)
@@ -457,31 +469,24 @@ def _edge_program(
 
 
 def _gf2_pass(c: KhComplex) -> dict[tuple[int, int], int]:
-    """Check d.d = 0 and return the GF(2) rank of every block, its +-1
-    entries read as 1, in one visit of each block in (t, q) order.
+    """Check d.d = 0 mod 2 and return the GF(2) rank of every block, its
+    +-1 entries read as 1, in one visit of each block in (t, q) order;
+    a complex over either field goes through the same pass.
 
     A block's columns become bitsets once (a column's targets are
     distinct, so the sum is an OR) and are ranked as rows: transposition
     preserves rank.  Before the rank, every column of the block before
-    must map to zero through this one: over GF(2) its targets' bitsets
-    XOR to zero; over Q the exact integer sums along every path of
-    length two vanish, which implies it mod 2.
+    must map to zero through this one: its targets' bitsets XOR to zero.
+    Signs are not read here; a pinned rational block needs none, and
+    ``homology`` checks them over Z where the rationals eliminate.
     """
     ranks: dict[tuple[int, int], int] = {}
-    over_q = c.field == Q
     for (t, q), cols in c.blocks.items():
         bits = [sum([1 << i for i, _ in col]) for col in cols]
         for col in c.blocks.get((t - 1, q), ()):
-            if over_q:
-                sums: dict[int, int] = {}
-                for i, a in col:
-                    for j, b in cols[i]:
-                        sums[j] = sums.get(j, 0) + a * b
-                nonzero = any(sums.values())
-            else:
-                nonzero = 0
-                for i, _ in col:
-                    nonzero ^= bits[i]
+            nonzero = 0
+            for i, _ in col:
+                nonzero ^= bits[i]
             if nonzero:
                 raise AssertionError(
                     f"differential does not square to zero at (t={t - 1}, q={q})"
@@ -500,8 +505,12 @@ def homology(c: KhComplex, field: str | None = None) -> KhTable:
     Hr, and the table is Hr(t, q) + Hr(t, q - 2) (the reduction in the
     module docstring).  Q ranks need a complex built over Q.  There only
     a block with nonzero GF(2) homology at both ends is eliminated; the
-    rest take their GF(2) rank, by the lemma in the module docstring.
-    An eliminated rank below its GF(2) rank raises an AssertionError.
+    rest take their GF(2) rank, by the lemma in the module docstring,
+    which reads no sign.  Before any elimination, d.d = 0 is checked
+    exactly over Z on the pairs t-1 -> t and t -> t+1 through each
+    eliminated block t, each pair once: the signs that the elimination
+    reads.  A failed check, or an eliminated rank below its GF(2) rank,
+    raises an AssertionError.
     """
     field = field or c.field
     if field not in (GF2, Q) or (field == Q and c.field != Q):
@@ -509,11 +518,22 @@ def homology(c: KhComplex, field: str | None = None) -> KhTable:
     ranks = dict(c.gf2_ranks)
     if field == Q:
         gf2_homology = _dimensions(c, ranks)
-        for (t, q), rank in c.gf2_ranks.items():
-            if (t, q) in gf2_homology and (t + 1, q) in gf2_homology:
-                ranks[t, q] = sparse_integer_rank(c.blocks[t, q])
-                if ranks[t, q] < rank:
-                    raise AssertionError(f"Q rank below GF(2) rank at (t={t}, q={q})")
+        eliminated = [(t, q) for t, q in c.gf2_ranks if {(t, q), (t + 1, q)} <= gf2_homology.keys()]
+        for t, q in sorted({(s, q) for t, q in eliminated for s in (t - 1, t)}):
+            nxt = c.blocks.get((t + 1, q))
+            for col in c.blocks.get((t, q), ()):  # the pair t -> t + 1 over Z
+                sums: dict[int, int] = {}
+                for i, a in col:
+                    for j, b in nxt[i]:
+                        sums[j] = sums.get(j, 0) + a * b
+                if any(sums.values()):
+                    raise AssertionError(
+                        f"differential does not square to zero over Z at (t={t}, q={q})"
+                    )
+        for t, q in eliminated:
+            ranks[t, q] = sparse_integer_rank(c.blocks[t, q])
+            if ranks[t, q] < c.gf2_ranks[t, q]:
+                raise AssertionError(f"Q rank below GF(2) rank at (t={t}, q={q})")
     dims = _dimensions(c, ranks)
     if c.field == GF2:  # two copies of the reduced table, the second 2 up in q
         up = {(t, q + 2): dim for (t, q), dim in dims.items()}
@@ -526,7 +546,7 @@ def _dimensions(c: KhComplex, ranks: dict) -> dict[tuple[int, int], int]:
     for (t, q), cols in c.blocks.items():
         dim = len(cols) - ranks.get((t, q), 0) - ranks.get((t - 1, q), 0)
         if dim < 0:
-            raise AssertionError("negative homology dimension")
+            raise AssertionError(f"negative homology dimension at (t={t}, q={q})")
         if dim:
             entries[(t, q)] = dim
     return entries

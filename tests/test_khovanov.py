@@ -24,7 +24,7 @@ from kmc.diagram import (
     virtualize,
 )
 from kmc.errors import InvariantError, LimitError, TableError, UnsupportedFieldError
-from kmc.generate import random_classical_diagram, random_virtual_diagram
+from kmc.generate import braid_closure, random_classical_diagram, random_virtual_diagram
 from kmc.khovanov import (
     GF2,
     KhTable,
@@ -365,11 +365,19 @@ def _entry_with_a_composite(c):
     return None
 
 
+def _eliminated(c):
+    """The blocks of a complex over Q that ``homology`` eliminates: those
+    with nonzero GF(2) homology at both ends."""
+    gf2_homology = kh._dimensions(c, c.gf2_ranks)
+    return {(t, q) for t, q in c.blocks if {(t, q), (t + 1, q)} <= gf2_homology.keys()}
+
+
 @settings(max_examples=30, deadline=None)
 @given(DIAGRAMS)
 def test_d_squared_checks_catch_a_changed_entry(d):
-    # the reduced complex over GF(2), and the one over Q where it exists;
-    # the Q complex holds the reduced one, so it has such an entry too
+    # a dropped entry: the XOR pass catches it on the reduced complex over
+    # GF(2) and on the one over Q where it exists; the Q complex holds the
+    # reduced one, so it has such an entry too
     gf2 = build_complex(d, GF2)
     assume(_entry_with_a_composite(gf2) is not None)
     fields = [gf2] + ([build_complex(d, Q)] if orientable(build_atom(d)) else [])
@@ -377,15 +385,37 @@ def test_d_squared_checks_catch_a_changed_entry(d):
         key, j, e = _entry_with_a_composite(c)
         dropped = copy.deepcopy(c)
         del dropped.blocks[key][j][e]
-        with pytest.raises(AssertionError, match="square to zero"):
+        with pytest.raises(AssertionError, match="square to zero at"):
             _gf2_pass(dropped)
-    if len(fields) == 2:  # signs exist over Q only; mod 2 a flip is no change
-        flipped = copy.deepcopy(fields[1])
-        key, j, e = _entry_with_a_composite(flipped)
-        i, v = flipped.blocks[key][j][e]
-        flipped.blocks[key][j][e] = (i, -v)
-        with pytest.raises(AssertionError, match="square to zero"):
-            _gf2_pass(flipped)
+    if len(fields) < 2:  # signs exist over Q only; mod 2 a flip is no change
+        return
+    # a flipped sign, at the first entry of each block whose composite
+    # d.d sees: the integer sums of homology(c, Q) catch it exactly where
+    # they sum a pair through it, one of whose blocks is eliminated;
+    # elsewhere no elimination reads it and the rational table stays
+    rat = fields[1]
+    table, eliminated = kh.homology(rat, Q), _eliminated(rat)
+    for (t, q), cols in rat.blocks.items():
+        before, after = rat.blocks.get((t - 1, q), ()), rat.blocks.get((t + 1, q))
+        hit = next(((j, e) for j, col in enumerate(cols) for e, (i, _) in enumerate(col) if after[i]),
+                   None)
+        if hit is None:
+            continue
+        j, e = hit
+        # the pairs t - 1 -> t and t -> t + 1 are summed when one of their
+        # blocks is eliminated, and the first sees the entry when a column
+        # of block t - 1 reaches column j; pairs are summed in (t, q) order
+        reached = any(i == j for col in before for i, _ in col)
+        seen_before = reached and bool({(t - 1, q), (t, q)} & eliminated)
+        seen_after = bool({(t, q), (t + 1, q)} & eliminated)
+        _flip(cols[j], e)
+        if seen_before or seen_after:
+            where = rf"square to zero over Z at \(t={t - 1 if seen_before else t}, q={q}\)"
+            with pytest.raises(AssertionError, match=where):
+                kh.homology(rat, Q)
+        else:
+            assert kh.homology(rat, Q) == table
+        _flip(cols[j], e)
 
 
 @settings(max_examples=30, deadline=None)
@@ -431,6 +461,30 @@ def test_pinned_rational_table_equals_full_elimination(n, seed):
     assert kh_table(d, Q).entries == full_elimination_table(d)
 
 
+# inputs that simplify leaves alone and whose rational table eliminates
+# blocks, with the number of blocks eliminated
+ELIMINATING = [
+    ("(s1 s2^-1)^3", lambda: braid_closure(3, [1, -2] * 3), 6),
+    ("T(2, 5)", lambda: braid_closure(2, [1] * 5), 3),
+    ("T(2, 7)", lambda: braid_closure(2, [1] * 7), 5),
+    ("figure8", lambda: load("figure8.pd"), 4),
+    ("virtualized 6_2", lambda: virtualize(load("6_2.pd"), 2), 6),
+]
+
+
+@pytest.mark.parametrize(
+    "make, blocks", [case[1:] for case in ELIMINATING], ids=[case[0] for case in ELIMINATING]
+)
+def test_pinned_rational_table_equals_full_elimination_where_blocks_are_eliminated(
+    monkeypatch, make, blocks
+):
+    d = make()
+    assert simplify(d) == d
+    eliminated = _count_calls(monkeypatch, "sparse_integer_rank")
+    assert kh_table(d, Q).entries == full_elimination_table(d)
+    assert len(eliminated) == blocks
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     real = getattr(kh, name)
@@ -445,6 +499,15 @@ def test_torsion_blocks_are_eliminated(monkeypatch, name):
     eliminated = _count_calls(monkeypatch, "sparse_integer_rank")
     assert kh_table(d, Q).entries == full_elimination_table(d)
     assert eliminated
+
+
+def test_a_negative_dimension_names_its_block():
+    c = build_complex(load("6_2.pd"), GF2)
+    keys = [key for key, cols in c.blocks.items() if cols]
+    t, q = key = keys[len(keys) // 2]
+    c.gf2_ranks[key] = len(c.blocks[key]) + 1
+    with pytest.raises(AssertionError, match=rf"negative homology dimension at \(t={t}, q={q}\)"):
+        kh.homology(c)
 
 
 def test_eliminated_rank_below_gf2_rank_is_an_error(monkeypatch):
@@ -522,16 +585,20 @@ def test_the_census_check_catches_a_wrong_census(monkeypatch, name, step):
 
 def _corrupt_skeleton(monkeypatch, change):
     """Route every skeleton through change(column, entry index) at an
-    entry whose composite d.d sees."""
+    entry whose composite d.d sees; return the list of (complex, block
+    key) changed, in build order."""
     real = kh._skeleton
+    changed = []
 
     def corrupted(*args):
         c = real(*args)
         key, j, e = _entry_with_a_composite(c)
         change(c.blocks[key][j], e)
+        changed.append((c, key))
         return c
 
     monkeypatch.setattr(kh, "_skeleton", corrupted)
+    return changed
 
 
 def _drop(col, e):
@@ -544,14 +611,50 @@ def _flip(col, e):
 
 
 @pytest.mark.parametrize("name", ["trefoil.pd", "figure8.pd", "6_2.pd"])
-@pytest.mark.parametrize("change", [_drop, _flip])
-def test_the_one_integer_pass_catches_a_changed_entry(monkeypatch, name, change):
-    _corrupt_skeleton(monkeypatch, change)
-    with pytest.raises(AssertionError, match="square to zero"):
-        certify(load(name), [GF2, Q])
-    if change is _drop:  # mod 2 a flip is no change
-        with pytest.raises(AssertionError, match="square to zero"):
-            certify(load(name), [GF2])
+def test_the_xor_pass_catches_a_dropped_entry(monkeypatch, name):
+    _corrupt_skeleton(monkeypatch, _drop)
+    for fields in ([GF2, Q], [GF2]):
+        with pytest.raises(AssertionError, match="square to zero at"):
+            certify(load(name), fields)
+
+
+def _certify_cli(capsys, name, *argv):
+    from kmc.cli import main
+
+    code = main(["certify", str(FIXTURES / name), *argv])
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("name", ["figure8.pd", "5_1.pd", "5_2.pd", "6_1.pd", "6_2.pd", "6_3.pd"])
+def test_a_flipped_sign_next_to_an_eliminated_block_is_caught_over_z(monkeypatch, capsys, name):
+    """The first entry whose composite d.d sees lies, on these knots, in
+    an eliminated block or next to one, so the integer sums that
+    homology(c, Q) runs before the elimination see its flipped sign."""
+    changed = _corrupt_skeleton(monkeypatch, _flip)
+    with pytest.raises(AssertionError, match="square to zero over Z"):
+        certify(load(name))
+    (c, (t, q)), = changed
+    assert {(t - 1, q), (t, q), (t + 1, q)} & _eliminated(c)
+    code, out, err = _certify_cli(capsys, name)
+    assert code == 1 and out == ""
+    assert err.startswith("kmc: ") and err.count("\n") == 1 and "square to zero over Z" in err
+
+
+def test_a_flipped_sign_no_elimination_reads_leaves_the_certificate(monkeypatch, capsys):
+    """On the trefoil the first entry whose composite d.d sees lies in
+    block (-3, -5), and the one eliminated block is (-3, -7): no summed
+    pair and no elimination reads the flipped sign, and every other
+    block's rational rank is its GF(2) rank, which a sign cannot change."""
+    clean = _certify_cli(capsys, "trefoil.pd", "--json")
+    assert clean[0] == 0
+    changed = _corrupt_skeleton(monkeypatch, _flip)
+    ranked = []
+    real = kh.sparse_integer_rank
+    monkeypatch.setattr(kh, "sparse_integer_rank", lambda rows: ranked.append(rows) or real(rows))
+    assert _certify_cli(capsys, "trefoil.pd", "--json") == clean
+    (c, key), = changed
+    assert key == (-3, -5)
+    assert [rows is c.blocks[-3, -7] for rows in ranked] == [True]
 
 
 @pytest.mark.parametrize("fields", [None, [GF2, Q], [GF2], [Q]])
