@@ -1,13 +1,15 @@
 """Command-line interface.
 
-Subcommands: bracket, atom, kh, k1, certify, certify-table, batch.
+Subcommands: bracket, atom, kh, k1, certify, certify-table, batch, each
+taking only the options it reads.  Every subcommand but batch takes
+--json; bracket, kh, k1, certify and batch take --max-crossings, and the
+environment variable KMC_MAX_CROSSINGS overrides the enumeration limits
+of those same five.  A limit must be a positive integer; the homology
+limits of kh, certify and batch apply to a knot once its kinks and
+bigons are removed, the census limit to the diagram as given.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 computation or input error (a failed internal check or running out of
-memory included), 2 usage error.  The environment variable
-KMC_MAX_CROSSINGS (or --max-crossings) overrides enumeration limits,
-and must be a positive integer; the homology limits of kh, certify and
-batch apply to a knot once its kinks and bigons are removed, the census
-limit to the diagram as given.
+memory included), 2 usage error.
 The argument parser is built once per process, on the first ``main``
 call, and reused: parsing leaves it unchanged.
 """
@@ -22,7 +24,7 @@ from pathlib import Path
 
 from . import khovanov as kh
 from .atom import build_atom
-from .diagram import Diagram, parse_gauss, parse_pd
+from .diagram import Diagram, _pd_lines, parse_gauss, parse_pd
 from .errors import KmcError, ParseError
 from .minimality import MINIMAL, _strict_1_complete, certify, certify_from_table
 from .single_circle import single_circle_census
@@ -45,12 +47,7 @@ def load_diagram(path: str | Path) -> Diagram:
         return parse_pd(text)
     if suffix == ".gauss":
         return parse_gauss(text)
-    stripped = [
-        line.split("#", 1)[0].strip()
-        for line in text.splitlines()
-        if line.split("#", 1)[0].strip()
-    ]
-    first = stripped[0].split()[0] if stripped else "loop"
+    first = next((tokens[0] for _, tokens in _pd_lines(text)), "loop")
     if first in ("X", "V", "loop"):
         return parse_pd(text)
     return parse_gauss(text)
@@ -60,53 +57,59 @@ def _message(exc: BaseException) -> str:
     return "out of memory" if isinstance(exc, MemoryError) else str(exc)
 
 
-def _print_json(data: dict) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True))
+def _emit(
+    args: argparse.Namespace, data: dict, lines: list[str] | tuple[str, ...]
+) -> int:
+    """Print ``data`` as JSON under ``--json``, else ``lines`` as text; exit 0."""
+    if args.json:
+        print(json.dumps(data, indent=2, sort_keys=True))
+    else:
+        print("\n".join(lines))
+    return 0
 
 
 def _cmd_bracket(args: argparse.Namespace) -> int:
     d = load_diagram(args.file)
     poly = kauffman_bracket(d, max_crossings=args.max_crossings)
     span, bound, strict = _strict_1_complete(d, poly, build_atom(d).chi)
-    if args.json:
-        _print_json(
-            {
-                "schema": 1,
-                "terms": {str(e): c for e, c in poly.terms()},
-                "span": span,
-                "bound": bound,
-                "one_complete": strict,
-            }
-        )
-    else:
-        print(f"bracket: {poly.format('A')}")
-        print(f"span: {span}")
-        print(f"bound: {bound}")
-        print(f"1-complete: {'yes' if strict else 'no'}")
-    return 0
+    return _emit(
+        args,
+        {
+            "schema": 1,
+            "terms": {str(e): c for e, c in poly.terms()},
+            "span": span,
+            "bound": bound,
+            "one_complete": strict,
+        },
+        [
+            f"bracket: {poly.format('A')}",
+            f"span: {span}",
+            f"bound: {bound}",
+            f"1-complete: {'yes' if strict else 'no'}",
+        ],
+    )
 
 
 def _cmd_atom(args: argparse.Namespace) -> int:
-    d = load_diagram(args.file)
-    atom = build_atom(d)
-    if args.json:
-        _print_json(
-            {
-                "schema": 1,
-                "a": atom.a,
-                "b": atom.b,
-                "chi": atom.chi,
-                "orientable": atom.orientable,
-                "twice_genus": atom.twice_genus,
-            }
-        )
-    else:
-        print(f"a: {atom.a}")
-        print(f"b: {atom.b}")
-        print(f"chi: {atom.chi}")
-        print(f"orientable: {'yes' if atom.orientable else 'no'}")
-        print(f"genus: {atom.genus}")
-    return 0
+    atom = build_atom(load_diagram(args.file))
+    return _emit(
+        args,
+        {
+            "schema": 1,
+            "a": atom.a,
+            "b": atom.b,
+            "chi": atom.chi,
+            "orientable": atom.orientable,
+            "twice_genus": atom.twice_genus,
+        },
+        [
+            f"a: {atom.a}",
+            f"b: {atom.b}",
+            f"chi: {atom.chi}",
+            f"orientable: {'yes' if atom.orientable else 'no'}",
+            f"genus: {atom.genus}",
+        ],
+    )
 
 
 def _render_table(tab: kh.KhTable) -> str:
@@ -140,17 +143,19 @@ def _cmd_kh(args: argparse.Namespace) -> int:
     d = load_diagram(args.file)
     table = kh.kh_table(d, args.field, max_crossings=args.max_crossings)
     thick = kh.thickness(table)
-    if args.json:
-        data = table.to_json_dict()
-        data["thickness"] = kh.json_number(thick)
-        data["q_span"] = kh.q_span(table)
-        _print_json(data)
-    else:
-        print(f"field: {args.field}")
-        print(_render_table(table))
-        print(f"thickness: {thick}")
-        print(f"q-span: {kh.q_span(table)}")
-    return 0
+    data = table.to_json_dict()
+    data["thickness"] = kh.json_number(thick)
+    data["q_span"] = kh.q_span(table)
+    return _emit(
+        args,
+        data,
+        [
+            f"field: {args.field}",
+            _render_table(table),
+            f"thickness: {thick}",
+            f"q-span: {data['q_span']}",
+        ],
+    )
 
 
 def _cmd_k1(args: argparse.Namespace) -> int:
@@ -161,48 +166,39 @@ def _cmd_k1(args: argparse.Namespace) -> int:
         "amplitude_bounded": census.amplitude_bounded,
         "parity_consistent": census.parity_consistent,
     }
-    if args.json:
-        _print_json(
-            {
-                "schema": 1,
-                "size": census.size,
-                "b_histogram": {str(k): v for k, v in census.b_histogram.items()},
-                "window": list(census.window),
-                "chi": census.chi,
-                "checks": checks,
-            }
-        )
-    else:
-        print(f"census size: {census.size}")
-        hist = " ".join(f"{k}:{v}" for k, v in census.b_histogram.items())
-        print(f"b-smoothing histogram: {hist if hist else '(empty)'}")
-        print(f"window: [{census.window[0]}, {census.window[1]}]")
-        for name, ok in checks.items():
-            print(f"{name.replace('_', ' ')}: {'yes' if ok else 'no'}")
-    return 0
-
-
-def _print_certificate(cert, as_json: bool) -> None:
-    if as_json:
-        _print_json(cert.to_json_dict())
-    else:
-        for line in cert.reasoning:
-            print(line)
+    hist = " ".join(f"{k}:{v}" for k, v in census.b_histogram.items())
+    return _emit(
+        args,
+        {
+            "schema": 1,
+            "size": census.size,
+            "b_histogram": {str(k): v for k, v in census.b_histogram.items()},
+            "window": list(census.window),
+            "chi": census.chi,
+            "checks": checks,
+        },
+        [
+            f"census size: {census.size}",
+            f"b-smoothing histogram: {hist if hist else '(empty)'}",
+            f"window: [{census.window[0]}, {census.window[1]}]",
+            *(
+                f"{name.replace('_', ' ')}: {'yes' if ok else 'no'}"
+                for name, ok in checks.items()
+            ),
+        ],
+    )
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     fields = _parse_fields(args.fields)
-    d = load_diagram(args.file)
-    cert = certify(d, fields, max_crossings=args.max_crossings)
-    _print_certificate(cert, args.json)
-    return 0
+    cert = certify(load_diagram(args.file), fields, max_crossings=args.max_crossings)
+    return _emit(args, cert.to_json_dict(), cert.reasoning)
 
 
 def _cmd_certify_table(args: argparse.Namespace) -> int:
     table = kh.load_table(args.file, args.field)
     cert = certify_from_table(table, args.n, args.chi)
-    _print_certificate(cert, args.json)
-    return 0
+    return _emit(args, cert.to_json_dict(), cert.reasoning)
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -242,64 +238,37 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument(
-            "--max-crossings",
-            type=int,
-            default=None,
-            help="override the enumeration limit",
-        )
-
-    p = sub.add_parser("bracket", help="Kauffman bracket, span and the span bound")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_bracket)
-    add_common(p)
-
-    p = sub.add_parser("atom", help="cell counts, Euler characteristic, genus")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_atom)
-    add_common(p)
-
-    p = sub.add_parser("kh", help="Khovanov homology table")
-    p.add_argument("file")
-    p.add_argument("--field", choices=[kh.GF2, kh.Q], default=kh.GF2)
-    p.set_defaults(run=_cmd_kh)
-    add_common(p)
-
-    p = sub.add_parser("k1", help="census of single-circle states")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_k1)
-    add_common(p)
-
-    p = sub.add_parser("certify", help="minimality certificate for a diagram")
-    p.add_argument("file")
-    p.add_argument(
-        "--fields",
-        default=None,
-        help="comma-separated coefficient fields (default: gf2, plus q when"
-        " the atom is orientable)",
+    emit = ("--json", {"action": "store_true", "help": "emit JSON"})
+    limit = ("--max-crossings", {"type": int, "help": "override the enumeration limit"})
+    fields_help = (
+        "comma-separated coefficient fields (default: gf2, plus q when the atom"
+        " is orientable)"
     )
-    p.set_defaults(run=_cmd_certify)
-    add_common(p)
-
-    p = sub.add_parser(
-        "certify-table", help="minimality certificate from a homology table"
+    # name, help, positional, handler, options (in the order --help lists them)
+    commands = (
+        ("bracket", "Kauffman bracket, span and the span bound", "file", _cmd_bracket,
+         [emit, limit]),
+        ("atom", "cell counts, Euler characteristic, genus", "file", _cmd_atom, [emit]),
+        ("kh", "Khovanov homology table", "file", _cmd_kh,
+         [("--field", {"choices": [kh.GF2, kh.Q], "default": kh.GF2}), emit, limit]),
+        ("k1", "census of single-circle states", "file", _cmd_k1, [emit, limit]),
+        ("certify", "minimality certificate for a diagram", "file", _cmd_certify,
+         [("--fields", {"help": fields_help}), emit, limit]),
+        ("certify-table", "minimality certificate from a homology table", "file",
+         _cmd_certify_table,
+         [("--n", {"type": int, "required": True, "help": "crossing count"}),
+          ("--chi", {"type": int, "help": "known Euler characteristic"}),
+          ("--field", {"choices": [kh.GF2, kh.Q]}),
+          emit]),
+        ("batch", "certify every diagram file in a directory", "directory", _cmd_batch,
+         [("--fields", {}), limit]),
     )
-    p.add_argument("file")
-    p.add_argument("--n", type=int, required=True, help="crossing count")
-    p.add_argument("--chi", type=int, default=None, help="known Euler characteristic")
-    p.add_argument("--field", choices=[kh.GF2, kh.Q], default=None)
-    p.set_defaults(run=_cmd_certify_table)
-    add_common(p)
-
-    p = sub.add_parser("batch", help="certify every diagram file in a directory")
-    p.add_argument("directory")
-    p.add_argument("--fields", default=None)
-    p.set_defaults(run=_cmd_batch)
-    add_common(p)
-
+    for name, help_text, positional, run, options in commands:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(positional)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(run=run)
     return parser
 
 
@@ -324,7 +293,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
-        if args.max_crossings is not None and args.max_crossings <= 0:
+        limit = getattr(args, "max_crossings", None)
+        if limit is not None and limit <= 0:
             parser.error("--max-crossings must be positive")
     except SystemExit as exc:
         return int(exc.code or 0)

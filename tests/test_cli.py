@@ -22,6 +22,11 @@ def test_load_diagram_sniffing(tmp_path):
     assert load_diagram(p).n == 1
     p.write_text("X 1 2 1 2\n")
     assert load_diagram(p).n == 1
+    # the first token after comment-only and blank lines decides the format
+    p.write_text("# a Gauss code\n\n   # X 1 2 1 2\nO1+ U1+\n")
+    assert load_diagram(p).n == 1
+    p.write_text("#\n\n# O1+ U1+\nX 1 2 1 2 # one kinked crossing\n")
+    assert load_diagram(p).n == 1
 
 
 def test_bracket_text(capsys):
@@ -145,6 +150,38 @@ def test_parse_error_reports_line(capsys, tmp_path):
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "bracket")[0] == 2
     assert run(capsys, "unknown-command")[0] == 2
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    from kmc.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    options = {
+        name: sorted(o for a in p._actions for o in a.option_strings if o != "-h")
+        for name, p in sub.choices.items()
+    }
+    assert options == {
+        "bracket": ["--help", "--json", "--max-crossings"],
+        "atom": ["--help", "--json"],
+        "kh": ["--field", "--help", "--json", "--max-crossings"],
+        "k1": ["--help", "--json", "--max-crossings"],
+        "certify": ["--fields", "--help", "--json", "--max-crossings"],
+        "certify-table": ["--chi", "--field", "--help", "--json", "--n"],
+        "batch": ["--fields", "--help", "--max-crossings"],
+    }
+
+
+def test_options_a_command_does_not_read_are_usage_errors(capsys):
+    table = str(FIXTURES / "13n3663_khq.json")
+    for argv, unread in (
+        (["batch", str(FIXTURES)], ["--json"]),
+        (["atom", str(FIXTURES / "trefoil.pd")], ["--max-crossings", "3"]),
+        (["certify-table", table, "--n", "13"], ["--max-crossings", "3"]),
+    ):
+        code, out, err = run(capsys, *argv, *unread)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("usage: kmc ")
+        assert err.endswith(f"kmc: error: unrecognized arguments: {' '.join(unread)}\n")
 
 
 def test_max_crossings_flag(capsys):
