@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(positional)
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, parser=p)
     return parser
 
 
@@ -292,10 +292,12 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _shared_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # reported with the command's usage, not the top level's
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         limit = getattr(args, "max_crossings", None)
         if limit is not None and limit <= 0:
-            parser.error("--max-crossings must be positive")
+            args.parser.error("--max-crossings must be positive")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

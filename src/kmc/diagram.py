@@ -597,9 +597,7 @@ def parse_gauss(text: str) -> Diagram:
     leaves at port 1 when s is +, and enters at port 1, leaving at
     port 3, when s is -.
     """
-    body = " ".join(
-        line.split("#", 1)[0] for line in text.splitlines()
-    )
+    body = " ".join(" ".join(tokens) for _, tokens in _pd_lines(text))
     segments = [seg.strip() for seg in body.split(";")]
     passes: dict[str, dict[str, tuple[int, str]]] = {}
     comps: list[list[tuple[str, str]]] = []

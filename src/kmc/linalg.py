@@ -1,16 +1,18 @@
 """Exact rank computations over GF(2) and over the rationals.
 
-GF(2) vectors are Python ints used as bitsets.  Rational ranks run one
-exact elimination on sparse integer rows: +-1 pivots while any row has
-one, which need only integer updates, else a pivot of least absolute
-value, whose updates cross-multiply and divide each changed row by the
-gcd of its entries.  Everything stays integral; floating point, modular
-and probabilistic arithmetic are never involved.
+Both ranks use one echelon scheme.  Rows are inserted in the order
+given; each is reduced on its highest column by the pivot row stored
+there until that column is new, and is then stored as its pivot.  The
+stored rows have distinct leading columns, so the rank is their count.
+GF(2) vectors are Python ints used as bitsets.  Rational rows are sparse
+integer rows: a +-1 pivot needs only integer updates, any other pivot
+cross-multiplies and divides the row by the gcd of its entries.
+Everything stays integral; floating point, modular and probabilistic
+arithmetic are never involved.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 from math import gcd
 
 __all__ = ["gf2_rank", "sparse_integer_rank"]
@@ -32,95 +34,50 @@ def gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-def _normalize(row: dict[int, int]) -> None:
-    """Divide row, in place, by the gcd of its entries."""
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
-    if g:
-        for k in row:
-            row[k] //= g
-
-
 def sparse_integer_rank(rows: list[list[tuple[int, int]]]) -> int:
     """Rank over Q of sparse integer rows, each a list of (column,
     entry) pairs with distinct columns.
 
-    Rows are taken shortest first.  In each the pivot is the +-1 entry
-    whose column meets the fewest rows (a Markowitz-style choice that
-    limits fill-in); a row with no unit entry waits, and is taken again
-    if a later update changes it.  When every row left waits, the
-    shortest is taken and pivots on its entry p of least absolute value.
-    The pivot row r clears p's column from every other row r_j, whose
-    entry there is f: r_j -= (f * p) * r when p = +-1, else r_j =
-    (p/g) r_j - (f/g) r with g = gcd(p, f), and r_j is divided by the gcd
-    of its entries.  Each pivot row counts one towards the rank and is
-    dropped.  The rows are copied once, into dicts; the caller's rows are
-    not modified.
+    ``gf2_rank``'s insertion over the integers.  Each row, copied into a
+    dict without zero entries, is reduced on its highest column h, where
+    its entry is f, by the pivot row r stored there with entry p: row -=
+    (f * p) * r when p = +-1, else row = (p/g) row - (f/g) r with g =
+    gcd(p, f), after which the row is divided by the gcd of its entries.
+    Each step clears h and adds entries only in lower columns, so the
+    loop ends; a row whose h is new becomes its pivot.  The caller's rows
+    are not modified.
+
+    The order matters for speed, not for the rank: ``homology`` passes a
+    block's columns in the complex's sweep order, and pivoting on the
+    lowest column instead, or taking the rows reversed, was 4-20x slower
+    on random braid closures.
     """
-    work = [{k: v for k, v in row if v} for row in rows]
-    col_rows: dict[int, set[int]] = {}
-    for i, row in enumerate(work):
-        for k in row:
-            if k in col_rows:
-                col_rows[k].add(i)
+    pivots: dict[int, dict[int, int]] = {}
+    for pairs in rows:
+        row = {k: v for k, v in pairs if v}
+        while row:
+            h = max(row)
+            if h not in pivots:
+                pivots[h] = row
+                break
+            pivot = pivots[h]
+            p, f = pivot[h], row[h]
+            unit = p == 1 or p == -1
+            if unit:
+                f *= p
             else:
-                col_rows[k] = {i}
-    # (waits, size, row): a row with no unit entry is pushed again with
-    # waits = 1, so it is taken only once no row with waits = 0 is left
-    heap = [(0, len(row), i) for i, row in enumerate(work) if row]
-    heapify(heap)
-    rank = 0
-    while heap:
-        waits, size, i = heappop(heap)
-        row = work[i]
-        if len(row) != size:
-            continue  # stale entry: the row changed or was a pivot
-        if waits:
-            col = min(row, key=lambda k: abs(row[k]))
-        else:
-            col, fewest = None, 0
-            for k, v in row.items():
-                if v == 1 or v == -1:
-                    count = len(col_rows[k])
-                    if col is None or count < fewest:
-                        col, fewest = k, count
-                        if count == 1:
-                            break
-            if col is None:
-                heappush(heap, (1, size, i))
-                continue
-        p = row.pop(col)
-        work[i] = {}
-        rank += 1
-        for k in row:
-            col_rows[k].discard(i)
-        others = col_rows.pop(col)
-        others.discard(i)
-        for j in others:
-            other = work[j]
-            f = other.pop(col)
-            if waits:
                 g = gcd(p, f)
                 f //= g
                 scale = p // g
-                for k in other:
-                    other[k] *= scale
-            else:
-                f *= p
-            for k, v in row.items():
-                w = other.get(k, 0) - f * v
+                for k in row:
+                    row[k] *= scale
+            for k, v in pivot.items():
+                w = row.get(k, 0) - f * v
                 if w:
-                    if k not in other:
-                        col_rows[k].add(j)
-                    other[k] = w
+                    row[k] = w
                 else:
-                    del other[k]
-                    col_rows[k].discard(j)
-            if waits:
-                _normalize(other)
-            if other:
-                heappush(heap, (0, len(other), j))
-    return rank
+                    del row[k]
+            if not unit and (g := gcd(*row.values())) > 1:
+                for k in row:
+                    row[k] //= g
+    return len(pivots)

@@ -180,8 +180,9 @@ def test_options_a_command_does_not_read_are_usage_errors(capsys):
     ):
         code, out, err = run(capsys, *argv, *unread)
         assert (code, out) == (2, ""), argv
-        assert err.startswith("usage: kmc ")
-        assert err.endswith(f"kmc: error: unrecognized arguments: {' '.join(unread)}\n")
+        # the command's own usage, not the top level's list of commands
+        assert err.startswith(f"usage: kmc {argv[0]} [-h]")
+        assert err.endswith(f"kmc {argv[0]}: error: unrecognized arguments: {' '.join(unread)}\n")
 
 
 def test_max_crossings_flag(capsys):
@@ -237,10 +238,12 @@ def test_json_output_deterministic(capsys):
 
 
 def test_nonpositive_limit_is_usage_error(capsys):
-    code, _, _ = run(
+    code, _, err = run(
         capsys, "kh", str(FIXTURES / "trefoil.pd"), "--max-crossings", "0"
     )
     assert code == 2
+    assert err.startswith("usage: kmc kh [-h]")
+    assert err.endswith("kmc kh: error: --max-crossings must be positive\n")
 
 
 def test_nonpositive_env_limit_is_an_error(capsys, monkeypatch):

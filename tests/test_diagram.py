@@ -284,6 +284,12 @@ def test_parse_gauss_loop_component():
     assert components(d) == 2
 
 
+def test_parse_gauss_strips_comments_as_parse_pd_does():
+    bare = "O1+ U2+ ; U1+ O2+ ; loop"
+    commented = "# a two-component link\nO1+ U2+ ;  # first component\n\n   # \nU1+ O2+ ; loop # and a loop\n"
+    assert parse_gauss(commented) == parse_gauss(bare)
+
+
 def test_gauss_and_pd_trefoils_agree():
     # the all-negative trefoil code realizes the same knot as the PD
     # fixture: same bracket, sphere atom, same signs

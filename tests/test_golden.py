@@ -1,9 +1,12 @@
 """Byte-for-byte CLI output on every fixture.
 
 tests/golden/ holds the stdout of bracket, atom, kh (both fields), k1
-and certify (default fields, gf2 alone and q alone), in text and --json, for every diagram fixture, with the
-exit codes in tests/golden/index.json.  Re-record (only when an output
-change is intended and explained) with
+and certify (default fields, gf2 alone and q alone), in text and --json,
+for every diagram fixture, with the exit codes in tests/golden/index.json.
+It also holds certify --json of the closure of (s1 s2^-1)^6, whose
+rational ranks come from eliminated blocks: its GF(2) table has 316 more
+dimensions than its Q table.  Re-record (only when an output change is
+intended and explained) with
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -13,12 +16,14 @@ import io
 import json
 import pathlib
 import sys
+import tempfile
 
 import pytest
 
 HERE = pathlib.Path(__file__).resolve().parent
 FIXTURES = HERE.parent / "fixtures"
 GOLDEN = HERE / "golden"
+TORSION = GOLDEN / "s1s2inv_6.certify.json.txt"
 
 COMMANDS = (
     ("bracket",),
@@ -54,12 +59,27 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
+def torsion_argv(directory: pathlib.Path) -> list[str]:
+    from kmc.diagram import render_pd
+    from kmc.generate import braid_closure
+
+    path = directory / "s1s2inv_6.pd"
+    path.write_text(render_pd(braid_closure(3, [1, -2] * 6)))
+    return ["certify", str(path), "--json"]
+
+
 @pytest.mark.parametrize("name,argv", cases(), ids=[name for name, _ in cases()])
 def test_cli_output_matches_golden(name, argv):
     index = json.loads((GOLDEN / "index.json").read_text())
     code, out = run_cli(argv)
     assert code == index[name]
     assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+def test_torsion_certificate_matches_golden(tmp_path):
+    code, out = run_cli(torsion_argv(tmp_path))
+    assert code == 0
+    assert out == TORSION.read_text()
 
 
 def record() -> None:
@@ -70,6 +90,8 @@ def record() -> None:
         index[name] = code
         (GOLDEN / f"{name}.txt").write_text(out)
     (GOLDEN / "index.json").write_text(json.dumps(index, indent=1, sort_keys=True) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        TORSION.write_text(run_cli(torsion_argv(pathlib.Path(tmp)))[1])
 
 
 if __name__ == "__main__":

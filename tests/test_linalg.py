@@ -7,14 +7,16 @@ from conftest import load
 from kmc.khovanov import Q, build_complex
 from kmc.linalg import sparse_integer_rank
 
-MAX_COLS = 8
+MAX_COLS = 10
 
-# Mostly +-1, as in the Khovanov differentials, with a few non-units so
-# that non-unit pivots run, and zeros that must be ignored.
-ENTRIES = st.sampled_from([1, -1, 1, -1, 1, -1, 2, -3, 6, 0])
+# Entries up to 7 in absolute value, +-1 weighted up as in the Khovanov
+# differentials, and zeros that must be ignored.  With up to 24 rows over
+# 10 columns most rows are dependent, so chains of non-unit pivots and
+# content divisions greater than 1 run.
+ENTRIES = st.sampled_from([1, -1, 1, -1, *range(-7, 8)])
 ROWS = st.lists(
     st.dictionaries(st.integers(0, MAX_COLS - 1), ENTRIES, max_size=MAX_COLS),
-    max_size=12,
+    max_size=24,
 )
 
 
@@ -76,20 +78,27 @@ def test_rank_with_duplicate_and_dependent_rows(rows):
 
 
 def test_no_unit_entry_pivots_on_least_entries():
+    # No entry is a unit, so every step cross-multiplies.  Row 1 is 3/2 of
+    # row 0 and vanishes on column 1.  Row 3 is reduced on column 2 by
+    # row 2 to {0: -12, 1: -18}, divided by its content 6, reduced on
+    # column 1 by row 0 to {0: -2}, divided by 2, and pivots on column 0.
     rows = [{0: 2, 1: 4}, {0: 3, 1: 6}, {1: 6, 2: -10}, {0: 6, 2: 15}]
     assert sparse_integer_rank(pairs(rows)) == reference_rank(rows) == 3
     assert sparse_integer_rank(pairs([{0: 2, 1: 4}, {0: -3, 1: -6}])) == 1
 
 
 def test_unit_elimination_leaving_non_unit_entries():
-    # eliminating column 0 leaves {1: -2}, which only a non-unit pivot can use
+    # the unit pivot in column 1 leaves {0: 2}, which is stored as the
+    # non-unit pivot of column 0
     assert sparse_integer_rank(pairs([{0: 1, 1: 1}, {0: 1, 1: -1}])) == 2
 
 
 def test_non_unit_pivot_leaving_unit_entries():
-    # No row has a unit entry, so the first pivot is 2 in column 0.  It
-    # turns the next rows into 2 r - 3 r_0 = {1: 1, 2: -1}, {1: 1, 3: 2}
-    # and, after dividing by 2, their sum; units pivot from there.
+    # Every pivot is a non-unit.  Row 1 is reduced on column 2 by row 0's
+    # 5 to 5 r_1 - 7 r_0 = {0: 1, 1: 4}, which has a unit entry but pivots
+    # on its leading 4.  Row 3 is reduced on columns 3 and 2 to
+    # {0: 4, 1: 16}, divided by its content 4 to {0: 1, 1: 4}, and then
+    # cleared by row 1's pivot.
     rows = [{0: 2, 1: 3, 2: 5}, {0: 3, 1: 5, 2: 7}, {0: 6, 1: 10, 2: 15, 3: 2}, {0: 2, 1: 7, 2: 3, 3: 4}]
     assert sparse_integer_rank(pairs(rows)) == reference_rank(rows) == 3
     assert sparse_integer_rank(pairs(rows[:3])) == reference_rank(rows[:3]) == 3
