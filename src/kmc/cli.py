@@ -6,7 +6,9 @@ taking only the options it reads.  Every subcommand but batch takes
 environment variable KMC_MAX_CROSSINGS overrides the enumeration limits
 of those same five.  A limit must be a positive integer; the homology
 limits of kh, certify and batch apply to a knot once its kinks and
-bigons are removed, the census limit to the diagram as given.
+bigons are removed, the census limit to the diagram as given.  kh,
+certify and batch read their tables from ``khovanov.kh_tables``, which
+checks them against the bracket first.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 computation or input error (a failed internal check or running out of
 memory included), 2 usage error.

@@ -519,7 +519,6 @@ def parse_pd(text: str) -> Diagram:
             x = fuse[x]
         return x
 
-    virtual_labels: set[str] = set()
     for lineno, tokens in _pd_lines(text):
         kind = tokens[0]
         if kind == "loop":
@@ -542,7 +541,6 @@ def parse_pd(text: str) -> Diagram:
                 rx, ry = find(x), find(y)
                 if rx != ry:
                     fuse[rx] = ry
-            virtual_labels.update(labels)
 
     for lab, count in labels_seen.items():
         if count != 2:
@@ -563,7 +561,7 @@ def parse_pd(text: str) -> Diagram:
         arcs.append((ports[0], ports[1]))
 
     # label classes that touch no classical crossing close into free loops
-    closed = {find(lab) for lab in virtual_labels} - set(ports_of)
+    closed = {find(lab) for lab in labels_seen} - ports_of.keys()
     loops += len(closed)
 
     return Diagram(len(classical), tuple(arcs), loops)

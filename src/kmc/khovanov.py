@@ -99,9 +99,10 @@ from itertools import accumulate
 from math import comb
 from pathlib import Path
 
+from . import statesum
 from .diagram import Diagram, crossing_components, crossing_signs, orient, simplify
-from .errors import LimitError, TableError, UnsupportedFieldError, resolve_limit
-from .laurent import Laurent
+from .errors import InvariantError, LimitError, TableError, UnsupportedFieldError, resolve_limit
+from .laurent import LOOP, Laurent
 from .linalg import gf2_rank, sparse_integer_rank
 from .statesum import _walker, circle_counts
 
@@ -115,6 +116,7 @@ __all__ = [
     "build_complex",
     "homology",
     "kh_table",
+    "kh_tables",
     "thickness",
     "q_span",
     "load_table",
@@ -319,19 +321,20 @@ def _skeleton(d: Diagram, n_plus: int, n_minus: int, field: str) -> KhComplex:
     GF(2), where only the even masks are laid down (the reduction in the
     module docstring), C(k - 1, j).  A mask's place among them is its
     position in one ranking per circle count; columns and entry tables
-    are indexed by position.  The sweep walks the states from
-    2^n - 1 down, so an edge's target s + 2^c is walked before its
-    source, and takes each state's runs at offsets counted down from its
-    blocks' sizes: states sit in increasing order within every block.  A
-    walk the census does not count, a run that would start below 0 or a
-    block left short raises an AssertionError (the census check).  Along
-    an edge the untouched circles keep their order (the lemma in the
-    module docstring), so the edge's action on positions depends only on
-    its key (k, x, y, z1, z2): ``_edge_program`` builds one program per
-    key, cached for this call, and each edge only lays its entries down.
-    Over GF(2) every entry is (target, 1); over Q the edge from s to
-    s + 2^c takes the sign (-1)^(number of set bits of s below c), and a
-    single-cycle edge raises an AssertionError."""
+    are indexed by position.  The sweep walks the states from 0 up and
+    appends each state's runs to their blocks, so states sit in
+    increasing order within every block, and an edge's source t - 2^c is
+    walked before its target t, which lays the edge into the source's
+    columns: each column's entries arrive in increasing crossing order.
+    A walk the census does not count, a run that would overfill its
+    block or a block left short raises an AssertionError (the census
+    check).  Along an edge the untouched circles keep their order (the
+    lemma in the module docstring), so the edge's action on positions
+    depends only on its key (k, x, y, z1, z2): ``_edge_program`` builds
+    one program per key, cached for this call, and each edge only lays
+    its entries down.  Over GF(2) every entry is (target, 1); over Q the
+    edge from t - 2^c to t takes the sign (-1)^(number of set bits of t
+    below c), and a single-cycle edge raises an AssertionError."""
     n, loops = d.n, d.free_loops
     arc_of = d.arc_index
     # per crossing c: its bit, and the arcs at ports 4c, 4c + 1 and 4c + 2
@@ -356,62 +359,56 @@ def _skeleton(d: Diagram, n_plus: int, n_minus: int, field: str) -> KhComplex:
                        for j, (a, b) in enumerate(zip(ends, ends[1:])) if a < b]
         for key, a, b in spans[r, k]:
             sizes[key] = sizes.get(key, 0) + count * (b - a)
-    blocks: dict[tuple[int, int], list[Column]] = {key: [None] * sizes[key] for key in sorted(sizes)}
-    free = {key: [size] for key, size in sizes.items()}  # (t, q) -> [end of its next run]
-    runs = {rk: [(key, free[key], blocks[key], b - a, a, b) for key, a, b in keyed]
+    blocks: dict[tuple[int, int], list[Column]] = {key: [] for key in sorted(sizes)}
+    runs = {rk: [(key, blocks[key], sizes[key], b - a, a, b) for key, a, b in keyed]
             for rk, keyed in spans.items()}
     entry = [(i, 1) for i in range(max(sizes.values()))]
     negated = [(i, -1) for i, _ in entry] if field == Q else None
 
     walk = _walker(d)
-    label_of, k_of = [None] * (1 << n), [0] * (1 << n)
-    where, where_neg = [None] * (1 << n), [None] * (1 << n)
-    # signed[p][tgt]: the entries of tgt, by position, along an edge whose
-    # source has p mod 2 set bits below the edge's bit; over GF(2) both
-    # parities read the unsigned tables
-    signed = (where, where_neg if negated else where)
+    label_of, k_of, cols_of = [None] * (1 << n), [0] * (1 << n), [None] * (1 << n)
     programs: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-    for s in reversed(range(1 << n)):
-        label, k = walk(s)
+    for t in range(1 << n):
+        label, k = walk(t)
         k += loops
-        label_of[s], k_of[s] = label, k
-        placed = runs.get((s.bit_count(), k))
+        label_of[t], k_of[t] = label, k
+        placed = runs.get((t.bit_count(), k))
         if placed is None:
-            raise AssertionError(f"census check: no (r, k) = ({s.bit_count()}, {k}) in the census")
-        cols: list[Column] = [[] for _ in laid[k]]
+            raise AssertionError(f"census check: no (r, k) = ({t.bit_count()}, {k}) in the census")
+        cols = cols_of[t] = [[] for _ in laid[k]]
+        # t's entries by position, and over Q negated for an odd edge
         own, own_neg = [], []
-        for key, left, block, size, a, b in placed:
-            o = left[0] - size
-            if o < 0:
+        for key, block, cap, size, a, b in placed:
+            o = len(block)
+            if o + size > cap:
                 raise AssertionError(f"census check: the walk overfills C(t={key[0]}, q={key[1]})")
-            left[0] = o
-            block[o:o + size] = cols[a:b]
+            block += cols[a:b]
             own += entry[o:o + size]
             if negated:
                 own_neg += negated[o:o + size]
-        where[s], where_neg[s] = own, own_neg
-        odd = 0  # parity of the set bits of s below the edge's bit
+        odd = 0  # parity of the set bits of t below the edge's bit
         for bit, a0, a1, a2 in ports:
-            if s & bit:
-                odd ^= 1
+            if not t & bit:
                 continue
-            tgt = s | bit
-            tgt_label = label_of[tgt]
-            key = (k, label[a0], label[a2], tgt_label[a0], tgt_label[a1])
+            s = t ^ bit
+            src_label, src_k = label_of[s], k_of[s]
+            key = (src_k, src_label[a0], src_label[a2], label[a0], label[a1])
             program = programs.get(key)
             if program is None:
                 if field == Q and key[1] == key[2] and key[3] == key[4]:
                     # impossible for orientable atoms; a trip here means
                     # the orientability test and the cube disagree
                     raise AssertionError("single-cycle event in a rational complex")
-                program = programs[key] = _edge_program(*key, laid[k], pos[k], pos[k_of[tgt]])
+                program = programs[key] = _edge_program(*key, laid[src_k], pos[src_k], pos[k])
             src, dst = program
-            to = signed[odd][tgt]
-            for m, t in zip(src, dst):
-                cols[m].append(to[t])
-    for (t, q), (o,) in free.items():
-        if o:
-            raise AssertionError(f"census check: the walk leaves C(t={t}, q={q}) {o} short")
+            to, out = own_neg if odd and negated else own, cols_of[s]
+            for m, p in zip(src, dst):
+                out[m].append(to[p])
+            odd ^= 1
+    for (t, q), block in blocks.items():
+        short = sizes[t, q] - len(block)
+        if short:
+            raise AssertionError(f"census check: the walk leaves C(t={t}, q={q}) {short} short")
     return KhComplex(field, blocks)
 
 
@@ -552,15 +549,55 @@ def _dimensions(c: KhComplex, ranks: dict) -> dict[tuple[int, int], int]:
     return entries
 
 
-def kh_table(d: Diagram, field: str = GF2, *, max_crossings: int | None = None) -> KhTable:
-    """Homology of d over field, from one checked complex of
-    ``simplify(d)``: a knot's table is that of any diagram of it, and
-    removing kinks and bigons down to m crossings shrinks the cube from
-    2^n to 2^m states.  The crossing limit applies to the diagram whose
-    cube is built; over Q, d's atom must be orientable."""
-    if field == Q:
+def kh_tables(
+    d: Diagram, fields: list[str], *, max_crossings: int | None = None
+) -> tuple[dict[str, KhTable], Laurent]:
+    """The tables of one checked complex of ``simplify(d)``, by field,
+    and d's bracket: the one path from a diagram to its tables.
+
+    Every limit is checked before the first pass: over Q, d's atom must
+    be orientable, then each field on ``simplify(d)``, then the census
+    limit on d.  One counting pass over d gives the bracket; the complex
+    is over Q when Q is in fields (its GF(2) ranks give the GF(2) table
+    too), else over GF(2).  ``_check_tables`` holds the tables to the
+    bracket, which checks the simplification and the complex's census
+    against an independent pass."""
+    if not fields:
+        raise UnsupportedFieldError("no coefficient field requested")
+    if Q in fields:
         check_orientable(d)
-    return homology(build_complex(simplify(d), field, max_crossings=max_crossings))
+    simple = simplify(d)
+    for name in fields:
+        check_field(simple, name, max_crossings=max_crossings)
+    bracket = statesum.kauffman_bracket(d, max_crossings=max_crossings)
+    over = Q if Q in fields else GF2
+    complex_ = build_complex(simple, over, max_crossings=max_crossings)
+    tables = {name: homology(complex_, name) for name in dict.fromkeys((GF2, over))}
+    n_plus, n_minus = crossing_signs(d, orient(d))
+    _check_tables(tables, bracket, n_plus - n_minus)
+    return tables, bracket
+
+
+def _check_tables(tables: dict[str, KhTable], bracket: Laurent, writhe: int) -> None:
+    """The paper's identities the tables must meet besides the bounds:
+    the graded Euler characteristic of each at q = -A^-2 is
+    (-A^2 - A^-2)(-A^3)^-w <D>, and GF(2) dimensions are at least the
+    rational ones."""
+    euler = LOOP * Laurent.term(-1 if writhe % 2 else 1, -3 * writhe) * bracket
+    for name, tab in tables.items():
+        if graded_euler_characteristic(tab).substitute_signed_power(-1, -2) != euler:
+            raise InvariantError(f"graded Euler characteristic over {name} is not the bracket")
+    if Q in tables:  # a complex over Q gives the GF(2) table too
+        gf2 = tables[GF2].entries
+        for (t, q), dim in tables[Q].entries.items():
+            if gf2.get((t, q), 0) < dim:
+                raise InvariantError(f"GF(2) dimension below Q at (t={t}, q={q})")
+
+
+def kh_table(d: Diagram, field: str = GF2, *, max_crossings: int | None = None) -> KhTable:
+    """Homology of d over field: the table of ``simplify(d)`` that
+    ``kh_tables(d, [field])`` builds and checks, under the same limits."""
+    return kh_tables(d, [field], max_crossings=max_crossings)[0][field]
 
 
 def thickness(tab: KhTable) -> Fraction:
@@ -585,7 +622,7 @@ def q_span(tab: KhTable) -> int:
 
 def graded_euler_characteristic(tab: KhTable) -> Laurent:
     """Sum of (-1)^t dim q^q over the table, as a Laurent polynomial in q."""
-    total = Laurent()
+    coeffs: dict[int, int] = {}
     for (t, q), dim in tab.entries.items():
-        total = total + Laurent.term(-dim if t % 2 else dim, q)
-    return total
+        coeffs[q] = coeffs.get(q, 0) + (-dim if t % 2 else dim)
+    return Laurent(coeffs)

@@ -24,9 +24,9 @@ from fractions import Fraction
 from . import khovanov as kh
 from . import statesum
 from .atom import build_atom
-from .diagram import Diagram, crossing_signs, is_connected, orient, simplify
-from .errors import DiagramError, InvariantError, KmcError, TableError, UnsupportedFieldError
-from .laurent import LOOP, Laurent
+from .diagram import Diagram, is_connected
+from .errors import DiagramError, InvariantError, KmcError, TableError
+from .laurent import Laurent
 
 __all__ = ["FieldReport", "Certificate", "certify", "certify_from_table"]
 
@@ -181,19 +181,13 @@ def certify(
     explicit request for the rationals on a non-orientable atom, raises
     UnsupportedFieldError.
 
-    The tables come from one complex of ``simplify(d)``, the same knot
-    with its kinks and bigons removed (a link is taken as given): over Q
-    when the rationals are requested (its entries mod 2 give the GF(2)
-    table), else over GF(2).  The atom, n, chi, the genus, the writhe
-    and the bracket are those of d, and so is the orientability that
-    decides whether the rationals are available.  The bracket comes from
-    one counting pass over d, before the complex is built from the census
-    of ``simplify(d)`` and one sweep of its cube.  The tables' graded
-    Euler characteristic must give the bracket, which checks the
-    simplification and that census against an independent pass; the
-    complex's census check holds the sweep's walk to that census.
-    Every limit is checked before the first pass: the Khovanov limits on
-    ``simplify(d)``, then the census limit on d.
+    The tables and d's bracket come from ``kh.kh_tables``, the one
+    path from a diagram to its tables, shared with ``kmc kh``: it checks
+    every limit before the first pass, builds one complex of
+    ``simplify(d)``, the same knot with its kinks and bigons removed (a
+    link is taken as given), and holds its tables to the bracket of d.
+    The atom, n, chi and the genus are those of d, and so is the
+    orientability that decides whether the rationals are available.
     """
     if not is_connected(d):
         raise DiagramError(
@@ -204,14 +198,7 @@ def certify(
     if fields is None:
         fields = [kh.GF2] + ([kh.Q] if atom.orientable else [])
     fields = list(dict.fromkeys(fields))
-    if not fields:
-        raise UnsupportedFieldError("no coefficient field requested")
-    if kh.Q in fields:
-        kh.check_orientable(d)
-    simple = simplify(d)
-    for name in fields:
-        kh.check_field(simple, name, max_crossings=max_crossings)
-    bracket = statesum.kauffman_bracket(d, max_crossings=max_crossings)
+    tables, bracket = kh.kh_tables(d, fields, max_crossings=max_crossings)
     chi = atom.chi
     span, bound, strict = _strict_1_complete(d, bracket, chi)
 
@@ -222,14 +209,6 @@ def certify(
         f"bracket span = {span}, bound 4n + 2(chi - 2) = {bound}"
         f" -> strict 1-completeness {'holds' if strict else 'fails'}",
     ]
-
-    over = kh.Q if kh.Q in fields else kh.GF2
-    complex_ = kh.build_complex(simple, over, max_crossings=max_crossings)
-    tables = {
-        name: kh.homology(complex_, name) for name in (kh.GF2, kh.Q) if name in fields
-    }
-    n_plus, n_minus = crossing_signs(d, orient(d))
-    _check_tables(tables, bracket, n_plus - n_minus)
     reports: dict[str, FieldReport] = {}
     for name in fields:
         rep, span_line, thickness_line = _report(
@@ -251,24 +230,6 @@ def certify(
         fields=reports,
         steps=tuple(steps),
     )
-
-
-def _check_tables(tables: dict[str, kh.KhTable], bracket: Laurent, writhe: int) -> None:
-    """The paper's identities the tables must meet besides the bounds:
-    the graded Euler characteristic of each at q = -A^-2 is
-    (-A^2 - A^-2)(-A^3)^-w <D>, and GF(2) dimensions are at least the
-    rational ones."""
-    euler = LOOP * Laurent.term(-1 if writhe % 2 else 1, -3 * writhe) * bracket
-    for name, tab in tables.items():
-        if kh.graded_euler_characteristic(tab).substitute_signed_power(-1, -2) != euler:
-            raise InvariantError(
-                f"graded Euler characteristic over {name} is not the bracket"
-            )
-    if kh.GF2 in tables and kh.Q in tables:
-        gf2 = tables[kh.GF2].entries
-        for (t, q), dim in tables[kh.Q].entries.items():
-            if gf2.get((t, q), 0) < dim:
-                raise InvariantError(f"GF(2) dimension below Q at (t={t}, q={q})")
 
 
 def certify_from_table(

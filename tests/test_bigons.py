@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import kmc.minimality
+import kmc.khovanov
 from conftest import FIXTURES, load
 from kmc.atom import build_atom, orientable
 from kmc.diagram import (
@@ -124,7 +124,7 @@ def test_removing_a_clasp_is_caught(monkeypatch):
     the clasped knot's bracket."""
     clasped = switch_crossing(r2_add(load("trefoil.pd"), 0, 2), 4)
     monkeypatch.setattr(
-        kmc.minimality, "simplify", lambda d: simplify(switch_crossing(d, d.n - 1))
+        kmc.khovanov, "simplify", lambda d: simplify(switch_crossing(d, d.n - 1))
     )
     for fields in (None, [GF2]):
         with pytest.raises(InvariantError, match="Euler characteristic"):
@@ -164,7 +164,7 @@ def test_tables_and_certificates_ignore_bigons(virtual, seed, count):
         assert kh_table(d, name).entries == homology(build_complex(d, name)).entries
     simplified = certify(d).to_json_dict()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kmc.minimality, "simplify", lambda d: d)
+        mp.setattr(kmc.khovanov, "simplify", lambda d: d)
         assert simplified == certify(d).to_json_dict()
 
 

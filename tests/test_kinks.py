@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import kmc.diagram
-import kmc.minimality
+import kmc.khovanov
 from conftest import load
 from kmc.atom import build_atom, orientable
 from kmc.diagram import (
@@ -99,7 +99,7 @@ def test_tables_and_certificates_ignore_kinks(args):
         assert kh_table(d, name).entries == homology(build_complex(d, name)).entries
     simplified = certify(d).to_json_dict()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kmc.minimality, "simplify", lambda d: d)
+        mp.setattr(kmc.khovanov, "simplify", lambda d: d)
         assert simplified == certify(d).to_json_dict()
 
 
@@ -114,18 +114,22 @@ def test_tables_and_certificates_ignore_kinks(args):
 @pytest.mark.parametrize("name", ["trefoil.pd", "kinked_trefoil.pd"])
 def test_a_wrong_simplification_is_caught(monkeypatch, change, name):
     """The tables of the simplified diagram must give the bracket of the
-    diagram as given; the trefoil is chiral, so its mirror fails too."""
-    monkeypatch.setattr(kmc.minimality, "simplify", change)
-    for fields in (None, [GF2]):
+    diagram as given, for ``certify`` and ``kh_table`` alike: both reach
+    their tables through ``kh_tables``.  The trefoil is chiral, so its
+    mirror fails too."""
+    monkeypatch.setattr(kmc.khovanov, "simplify", change)
+    for run, arg in ((certify, None), (certify, [GF2]), (kh_table, GF2), (kh_table, Q)):
         with pytest.raises(InvariantError, match="Euler characteristic"):
-            certify(load(name), fields)
+            run(load(name), arg)
 
 
 def test_limits_on_a_kinked_knot(no_cube_walk):
     """The census limit applies to the counting pass over the diagram as
-    given, and is checked before any pass."""
-    with pytest.raises(LimitError, match="17 crossings; census limit is 16"):
-        certify(kinked_17(), max_crossings=16)
+    given, for ``certify`` and ``kh_table`` alike, and is checked before
+    any pass."""
+    for run in (certify, kh_table):
+        with pytest.raises(LimitError, match="17 crossings; census limit is 16"):
+            run(kinked_17(), max_crossings=16)
 
 
 def test_a_kinked_knot_over_the_khovanov_limits_certifies(cube_walks):

@@ -7,7 +7,7 @@ from conftest import FIXTURES, load
 from kmc.diagram import Diagram, parse_gauss, r1_add, r2_add, simplify, virtualize
 from kmc.errors import DiagramError, TableError, UnsupportedFieldError
 from kmc.generate import braid_closure, random_classical_diagram, random_virtual_diagram
-from kmc.khovanov import GF2, KhTable, Q, load_table
+from kmc.khovanov import GF2, KhTable, Q, kh_table, load_table
 from kmc.minimality import INCONCLUSIVE, MINIMAL, certify, certify_from_table
 
 UNKNOT = Diagram(0, (), 1)
@@ -69,13 +69,14 @@ def test_empty_field_list_is_rejected(no_cube_walk):
 
 
 def test_one_cube_pass_per_command(cube_walks):
-    """certify makes one counting pass over the diagram as given, for its
-    bracket, then, for its complex, one counting pass over ``simplify(d)``,
-    which sizes the blocks, and one sweep of its cube (one walker);
-    ``kmc bracket`` and the census one counting pass (no walker).  The
-    census reads a, b and chi from its own pass; certify and ``kmc
-    bracket`` read chi from the atom, which walks the circles of two
-    states, all-A and all-B, by itself: not the cube, and no walker."""
+    """certify and kh_table make one counting pass over the diagram as
+    given, for its bracket, then, for their complex, one counting pass
+    over ``simplify(d)``, which sizes the blocks, and one sweep of its
+    cube (one walker); ``kmc bracket`` and the census one counting pass
+    (no walker).  The census reads a, b and chi from its own pass;
+    certify and ``kmc bracket`` read chi from the atom, which walks the
+    circles of two states, all-A and all-B, by itself: not the cube, and
+    no walker."""
     from kmc.cli import main
     from kmc.single_circle import single_circle_census
 
@@ -88,6 +89,7 @@ def test_one_cube_pass_per_command(cube_walks):
         (lambda: certify(d), ["counting", "counting", "walker"]),
         (lambda: certify(d, [GF2]), ["counting", "counting", "walker"]),
         (lambda: certify(d, [Q]), ["counting", "counting", "walker"]),
+        (lambda: kh_table(d), ["counting", "counting", "walker"]),
         (bracket_command, ["counting"]),
         (lambda: single_circle_census(d), ["counting"]),
     ):
@@ -362,6 +364,11 @@ def test_invariant_gf2_at_least_q(monkeypatch):
     _patched_tables(monkeypatch, pair_over_q)
     with pytest.raises(InvariantError, match="GF\\(2\\) dimension below Q"):
         certify(load("trefoil.pd"))
+    # a complex over Q gives the GF(2) table too, so the check holds
+    # when only the rationals are asked for
+    for run in (lambda d: certify(d, [Q]), lambda d: kh_table(d, Q)):
+        with pytest.raises(InvariantError, match="GF\\(2\\) dimension below Q"):
+            run(load("trefoil.pd"))
 
 
 def test_invariant_thickness(monkeypatch):
@@ -390,15 +397,13 @@ def test_invariant_q_span(monkeypatch):
 
 
 def test_invariant_bracket_span(monkeypatch):
+    """A span bound one below the trefoil's attained bound puts its
+    bracket span above it: an error, not a verdict.  (A corrupted
+    bracket would fail the Euler check first.)"""
     import kmc.statesum
     from kmc.errors import InvariantError
-    from kmc.laurent import Laurent
 
-    real = kmc.statesum.kauffman_bracket
-    monkeypatch.setattr(
-        kmc.statesum,
-        "kauffman_bracket",
-        lambda d, **kwargs: real(d, **kwargs) + Laurent.term(1, 99),
-    )
-    with pytest.raises(InvariantError, match="bracket span"):
+    real = kmc.statesum.span_bound
+    monkeypatch.setattr(kmc.statesum, "span_bound", lambda d, chi: real(d, chi) - 1)
+    with pytest.raises(InvariantError, match="bracket span 12 above 4n \\+ 2\\(chi - 2\\) = 11"):
         certify(load("trefoil.pd"))
